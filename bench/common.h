@@ -12,6 +12,9 @@
 #ifndef AMNESIAC_BENCH_COMMON_H
 #define AMNESIAC_BENCH_COMMON_H
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -114,13 +117,27 @@ enableHostProfiling(const BenchArgs &args)
  *                       stderr (implies --prof)
  *
  * Both `--flag value` and `--flag=value` spellings are accepted.
- * Unknown flags abort with a usage message so typos never silently run
- * the default experiment.
+ * Unknown flags, and numeric values that do not parse in full, abort
+ * with a usage message (exit 2) so typos never silently run the
+ * default experiment.
  */
 inline BenchArgs
 parseArgs(int argc, char **argv)
 {
     BenchArgs args;
+    auto usage = [&]() {
+        std::fprintf(stderr,
+                     "usage: %s [--jobs <n>] [--profile-jobs <n>] "
+                     "[--cache-dir <path>] [--no-cache] [--seed <n>] "
+                     "[--scale <x>] [--timing <scalar|pipelined>] "
+                     "[--predictor <nottaken|bimodal|gshare>] "
+                     "[--trace <path>] "
+                     "[--site-report <path>] [--metrics <path>] "
+                     "[--max-records <n>] [--prof] [--prof-out <path>] "
+                     "[--prof-report <path>]\n",
+                     argv[0]);
+        std::exit(2);
+    };
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         std::string value;
@@ -140,21 +157,46 @@ parseArgs(int argc, char **argv)
             }
             return argv[++i];
         };
+        // Numeric values must parse in full: "--jobs x" is a typo, not
+        // a request for the default.
+        auto reject = [&](const std::string &text) {
+            std::fprintf(stderr, "%s: bad value '%s' for %s\n", argv[0],
+                         text.c_str(), arg.c_str());
+            usage();
+        };
+        auto number = [&]() -> std::uint64_t {
+            std::string text = next();
+            char *end = nullptr;
+            errno = 0;
+            std::uint64_t v = std::strtoull(text.c_str(), &end, 10);
+            // A leading digit rules out the sign and blanks strtoull
+            // would accept.
+            if (!std::isdigit(static_cast<unsigned char>(text[0])) ||
+                *end != '\0' || errno == ERANGE)
+                reject(text);
+            return v;
+        };
+        auto real = [&]() -> double {
+            std::string text = next();
+            char *end = nullptr;
+            double v = std::strtod(text.c_str(), &end);
+            if (text.empty() || *end != '\0' || !std::isfinite(v))
+                reject(text);
+            return v;
+        };
         if (arg == "--jobs") {
-            args.config.jobs = static_cast<unsigned>(
-                std::strtoul(next().c_str(), nullptr, 10));
+            args.config.jobs = static_cast<unsigned>(number());
         } else if (arg == "--profile-jobs") {
-            args.config.compiler.profileJobs = static_cast<unsigned>(
-                std::strtoul(next().c_str(), nullptr, 10));
+            args.config.compiler.profileJobs =
+                static_cast<unsigned>(number());
         } else if (arg == "--cache-dir") {
             args.config.cacheDir = next();
         } else if (arg == "--no-cache") {
             args.config.noCache = true;
         } else if (arg == "--seed") {
-            args.seed = std::strtoull(next().c_str(), nullptr, 10);
+            args.seed = number();
         } else if (arg == "--scale") {
-            args.config.energy.nonMemScale =
-                std::strtod(next().c_str(), nullptr);
+            args.config.energy.nonMemScale = real();
         } else if (arg == "--timing") {
             std::string name = next();
             if (!parseTimingBackend(name, args.config.timing.backend)) {
@@ -180,8 +222,7 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--metrics") {
             args.metricsPath = next();
         } else if (arg == "--max-records") {
-            args.config.traceMaxRecords =
-                std::strtoull(next().c_str(), nullptr, 10);
+            args.config.traceMaxRecords = number();
         } else if (arg == "--prof") {
             args.prof = true;
         } else if (arg == "--prof-out") {
@@ -189,17 +230,7 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--prof-report") {
             args.profReportPath = next();
         } else {
-            std::fprintf(stderr,
-                         "usage: %s [--jobs <n>] [--profile-jobs <n>] "
-                         "[--cache-dir <path>] [--no-cache] [--seed <n>] "
-                         "[--scale <x>] [--timing <scalar|pipelined>] "
-                         "[--predictor <nottaken|bimodal|gshare>] "
-                         "[--trace <path>] "
-                         "[--site-report <path>] [--metrics <path>] "
-                         "[--max-records <n>] [--prof] [--prof-out <path>] "
-                         "[--prof-report <path>]\n",
-                         argv[0]);
-            std::exit(2);
+            usage();
         }
     }
     // Event buffering costs memory; only pay for it when the trace is

@@ -2,8 +2,9 @@
  * @file
  * google-benchmark micro-benchmarks of the simulator's hot structures:
  * cache accesses, hierarchy walks, SFile/Hist operations, interpreter
- * throughput, and dependence-tree signatures. These gate the wall-clock
- * cost of the experiment harnesses.
+ * throughput, dependence-tracker productions, and dependence-tree
+ * signatures. These gate the wall-clock cost of the experiment
+ * harnesses.
  */
 
 #include <benchmark/benchmark.h>
@@ -136,6 +137,49 @@ BM_ProfiledThroughput(benchmark::State &state)
         static_cast<double>(instrs), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_ProfiledThroughput);
+
+void
+BM_DepTrackerProduce(benchmark::State &state)
+{
+    // Steady-state producer tracking: each iteration makes a leaf and
+    // a two-op expression whose chain crosses pcs (so it runs to the
+    // global depth cap), stores the result to one of 1024 words and
+    // reloads another. After warm-up every node comes off the free
+    // list and the arena stops growing.
+    DepTracker tracker;
+    Instruction li;
+    li.op = Opcode::Li;
+    li.rd = 1;
+    Instruction add;
+    add.op = Opcode::Add;
+    add.rd = 2;
+    add.rs1 = 1;
+    add.rs2 = 3;
+    Instruction mul;
+    mul.op = Opcode::Mul;
+    mul.rd = 3;
+    mul.rs1 = 2;
+    mul.rs2 = 1;
+    Instruction st;
+    st.op = Opcode::St;
+    st.rs2 = 3;
+    Instruction ld;
+    ld.op = Opcode::Ld;
+    ld.rd = 4;
+    std::uint64_t i = 0;
+    for (auto _ : state) {
+        tracker.onAlu(0, li, i);
+        tracker.onAlu(1, add, i + 1);
+        tracker.onAlu(2, mul, i * 3);
+        tracker.onStore(st, (i % 1024) * 8);
+        tracker.onLoad(4, ld, ((i * 7) % 1024) * 8, i);
+        benchmark::DoNotOptimize(tracker.regProducer(4));
+        ++i;
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(i) * 5);
+    state.counters["arenaNodes"] = static_cast<double>(tracker.arenaSize());
+}
+BENCHMARK(BM_DepTrackerProduce);
 
 void
 BM_TreeSignature(benchmark::State &state)

@@ -102,6 +102,7 @@ struct WorkloadResult
     PhaseResult profileSharded;
     unsigned profileShards = 1;
     std::uint64_t productions = 0;  ///< profiling-phase producer nodes
+    std::uint64_t arenaNodes = 0;   ///< profiling-phase arena high-water
     std::string manifestJson;       ///< RunManifest of one pipeline run
     double compilePrunedSec = 0.0;    ///< best compile, static prune on
     double compileUnprunedSec = 0.0;  ///< best compile, static prune off
@@ -205,6 +206,7 @@ main(int argc, char **argv)
                 r.profile.bestSec = sec;
             r.profile.instrs = machine.stats().dynInstrs;
             r.productions = profiler.tracker().productions();
+            r.arenaNodes = profiler.tracker().arenaSize();
         }
 
         // --- sharded profiling pass (hardware concurrency) ---
@@ -349,14 +351,16 @@ main(int argc, char **argv)
         appendPhaseJson(json, "profile", r.profile);
         json += ",";
         appendPhaseJson(json, "profileSharded", r.profileSharded);
-        char buf[288];
+        char buf[320];
         std::snprintf(buf, sizeof(buf),
                       ",\"profileShards\":%u,\"productions\":%" PRIu64
+                      ",\"arenaNodes\":%" PRIu64
                       ",\"compile\":{\"prunedSec\":%.9f,"
                       "\"unprunedSec\":%.9f,\"shardedSec\":%.9f,"
                       "\"prunedCandidates\":%" PRIu64
                       ",\"byteIdentical\":true},",
-                      r.profileShards, r.productions, r.compilePrunedSec,
+                      r.profileShards, r.productions, r.arenaNodes,
+                      r.compilePrunedSec,
                       r.compileUnprunedSec, r.compileShardedSec,
                       r.prunedCandidates);
         json += buf;

@@ -84,12 +84,24 @@ AmnesicCompiler::compile(const Program &input) const
     const ProfileSource *profile = nullptr;
     {
         ScopedSpan span("pass:profile", input.name);
+        // Arena counters. A window tracker's sequence continues from
+        // its seed, so the largest count is the run's productions; the
+        // window arenas are separate and add up.
+        std::uint64_t productions = 0;
+        std::uint64_t arena_nodes = 0;
+        std::uint64_t free_nodes = 0;
+        auto count_arena = [&](const DepTracker &tracker) {
+            productions = std::max(productions, tracker.productions());
+            arena_nodes += tracker.arenaSize();
+            free_nodes += tracker.freeCount();
+        };
         if (_config.profileJobs == 1) {
             serial_profiler = std::make_unique<Profiler>(prof_config);
             Machine machine(input, _energy, _hierarchy);
             machine.setObserver(serial_profiler.get());
             machine.run(_config.runLimit);
             profile = serial_profiler.get();
+            count_arena(serial_profiler->tracker());
         } else {
             ShardOptions shard_opts;
             shard_opts.jobs = _config.profileJobs;
@@ -98,8 +110,13 @@ AmnesicCompiler::compile(const Program &input) const
                                              prof_config, shard_opts);
             profile = sharded_profile.get();
             result.profileShards = sharded_profile->shards();
+            for (unsigned k = 0; k < result.profileShards; ++k)
+                count_arena(sharded_profile->tracker(k));
         }
         span.counter("shards", result.profileShards);
+        span.counter("productions", productions);
+        span.counter("arenaNodes", arena_nodes);
+        span.counter("freeNodes", free_nodes);
     }
     result.profileSec = lap("profile");
 
@@ -144,7 +161,7 @@ AmnesicCompiler::compile(const Program &input) const
         // the economics to the runtime oracle (§5.1).
         double budget = _config.oracleSet
             ? _energy.loadEnergy(MemLevel::Memory) : eld;
-        auto slice = builder.build(*site, budget, *profile);
+        auto slice = builder.build(*site, budget, *profile, input);
         if (!slice) {
             ++result.stats.rejectedNoSlice;
             continue;

@@ -45,7 +45,8 @@ SliceBuilder::recPerLoad(const RSlice &slice, const SiteProfile &site,
 
 std::optional<RSlice>
 SliceBuilder::build(const SiteProfile &site, double energy_budget,
-                    const ProfileSource &profile) const
+                    const ProfileSource &profile,
+                    const Program &program) const
 {
     const CandidateTree *top = site.topTree();
     if (!top || top->representative == kNoNode)
@@ -82,11 +83,12 @@ SliceBuilder::build(const SiteProfile &site, double energy_budget,
         slice.instrs.reserve(entries.size());
         for (const Entry &entry : entries) {
             const ProducerNode &node = tracker.node(entry.node);
+            const Instruction &orig = program.code[node.pc];
             SliceInstr instr;
             instr.origPc = node.pc;
             instr.op = node.op;
-            instr.rd = node.rd;
-            instr.imm = node.imm;
+            instr.rd = orig.rd;
+            instr.imm = orig.imm;
             instr.level = entry.level;
             instr.seq = node.seq;
             instr.numOps = node.fanIn();
@@ -103,9 +105,9 @@ SliceBuilder::build(const SiteProfile &site, double energy_budget,
                 }
             };
             if (instr.numOps >= 1)
-                classify(0, node.rs1, node.in1);
+                classify(0, orig.rs1, node.in1);
             if (instr.numOps >= 2)
-                classify(1, node.rs2, node.in2);
+                classify(1, orig.rs2, node.in2);
             slice.instrs.push_back(instr);
         }
         slice.computeStats();

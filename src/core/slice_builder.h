@@ -58,13 +58,16 @@ class SliceBuilder
      *        arena holding the site's tree representatives (serial
      *        Profiler or merged ShardedProfile — the builder cannot
      *        tell them apart, which is the point)
+     * @param program the profiled program: the static operand fields
+     *        of every tree node are read from its instruction
      * @return the grown slice, or nullopt if even the minimal
      *         root-only slice violates the budget or no producer tree
      *         exists
      */
     std::optional<RSlice> build(const SiteProfile &site,
                                 double energy_budget,
-                                const ProfileSource &profile) const;
+                                const ProfileSource &profile,
+                                const Program &program) const;
 
     /** REC executions per dynamic load for a candidate slice. */
     double recPerLoad(const RSlice &slice, const SiteProfile &site,

@@ -79,20 +79,36 @@ treeSignature(const DepTracker &tracker, NodeId root, int max_depth,
     return ret;
 }
 
+DepTracker::Pages::Pages(const Pages &other)
+{
+    list.reserve(other.list.size());
+    for (const auto &page : other.list)
+        list.push_back(std::make_unique<Page>(*page));
+}
+
+DepTracker::Pages &
+DepTracker::Pages::operator=(const Pages &other)
+{
+    if (this != &other)
+        *this = Pages(other);
+    return *this;
+}
+
 NodeId
 DepTracker::alloc()
 {
-    if (!_free.empty()) {
-        NodeId id = _free.back();
-        _free.pop_back();
-        _nodes[id] = ProducerNode{};
-        _refs[id] = 1;
-        return id;
+    NodeId id = _freeHead;
+    if (id != kNoNode) {
+        _freeHead = slot(id).in1;
+        --_freeCount;
+    } else {
+        AMNESIAC_ASSERT(_size != kNoNode, "node arena exhausted");
+        id = _size++;
+        if ((id & (kPageNodes - 1)) == 0)
+            _pages.list.push_back(std::make_unique<Page>());
     }
-    auto id = static_cast<NodeId>(_nodes.size());
-    AMNESIAC_ASSERT(id != kNoNode, "node arena exhausted");
-    _nodes.emplace_back();
-    _refs.push_back(1);
+    slot(id) = ProducerNode{};
+    refs(id) = 1;
     return id;
 }
 
@@ -103,17 +119,18 @@ DepTracker::unref(NodeId id)
     while (!_reclaim.empty()) {
         NodeId cur = _reclaim.back();
         _reclaim.pop_back();
-        AMNESIAC_ASSERT(cur < _refs.size() && _refs[cur] > 0, "bad unref");
-        if (--_refs[cur] != 0)
+        AMNESIAC_ASSERT(cur < _size && refs(cur) > 0, "bad unref");
+        if (--refs(cur) != 0)
             continue;
-        ProducerNode &n = _nodes[cur];
+        ProducerNode &n = slot(cur);
         if (n.in1 != kNoNode)
             _reclaim.push_back(n.in1);
         if (n.in2 != kNoNode)
             _reclaim.push_back(n.in2);
-        n.in1 = kNoNode;
+        n.in1 = _freeHead;
         n.in2 = kNoNode;
-        _free.push_back(cur);
+        _freeHead = cur;
+        ++_freeCount;
     }
 }
 
@@ -128,23 +145,21 @@ DepTracker::onAlu(std::uint32_t pc, const Instruction &instr,
     // tree signatures above the cap byte-identical to the untruncated
     // graph. No buildable slice is anywhere near kMaxChainDepth tall.
     // Each link hands the caller ownership of one reference (a stub is
-    // born owned; a kept child gets an extra ref). Children are linked
-    // *before* the parent slot is allocated so no reference into the
-    // arena is held across a potential growth.
+    // born owned; a kept child gets an extra ref).
     auto link = [&](NodeId child) -> NodeId {
         if (child == kNoNode)
             return kNoNode;
-        const ProducerNode &c = _nodes[child];
+        const ProducerNode &c = slot(child);
         bool self_chain = c.kind == ProducerNode::Kind::Alu && c.pc == pc;
         if (c.depth >= kMaxChainDepth ||
             (self_chain && c.depth >= kSelfChainDepth)) {
-            ProducerNode stub = c;  // copy first: alloc may grow _nodes
+            NodeId sid = alloc();
+            ProducerNode &stub = slot(sid);
+            stub = c;
             stub.kind = ProducerNode::Kind::Truncated;
             stub.in1 = kNoNode;
             stub.in2 = kNoNode;
             stub.depth = 1;
-            NodeId sid = alloc();
-            _nodes[sid] = stub;
             return sid;
         }
         ref(child);
@@ -154,19 +169,15 @@ DepTracker::onAlu(std::uint32_t pc, const Instruction &instr,
     NodeId in2 = fan_in >= 2 ? link(_regs[instr.rs2]) : kNoNode;
     std::uint16_t depth = 1;
     if (in1 != kNoNode)
-        depth = std::max<std::uint16_t>(depth, _nodes[in1].depth + 1);
+        depth = std::max<std::uint16_t>(depth, slot(in1).depth + 1);
     if (in2 != kNoNode)
-        depth = std::max<std::uint16_t>(depth, _nodes[in2].depth + 1);
+        depth = std::max<std::uint16_t>(depth, slot(in2).depth + 1);
 
     NodeId nid = alloc();
-    ProducerNode &node = _nodes[nid];
+    ProducerNode &node = slot(nid);
     node.kind = ProducerNode::Kind::Alu;
     node.pc = pc;
     node.op = instr.op;
-    node.rd = instr.rd;
-    node.rs1 = instr.rs1;
-    node.rs2 = instr.rs2;
-    node.imm = instr.imm;
     node.in1 = in1;
     node.in2 = in2;
     node.depth = depth;
@@ -181,22 +192,20 @@ void
 DepTracker::onLoad(std::uint32_t pc, const Instruction &instr,
                    std::uint64_t addr, std::uint64_t value)
 {
-    auto it = _mem.find(addr / 8);
-    if (it != _mem.end() && it->second != kNoNode) {
+    NodeId stored = memProducer(addr);
+    if (stored != kNoNode) {
         // The register now holds the stored value: same production.
-        ref(it->second);
-        setReg(instr.rd, it->second);
+        ref(stored);
+        setReg(instr.rd, stored);
         return;
     }
     NodeId nid = alloc();
-    ProducerNode &node = _nodes[nid];
+    ProducerNode &node = slot(nid);
     node.kind = ProducerNode::Kind::InputLoad;
     node.pc = pc;
     node.op = instr.op;
-    node.rd = instr.rd;
     node.seq = ++_seq;
     node.value = value;
-    node.addr = addr;
     setReg(instr.rd, nid);
 }
 
@@ -207,7 +216,7 @@ DepTracker::onOpaque(Reg rd)
         // alloc's refcount-1 is the tracker's permanent hold: the
         // sentinel survives every register/memory overwrite.
         _opaque = alloc();
-        _nodes[_opaque].kind = ProducerNode::Kind::Truncated;
+        slot(_opaque).kind = ProducerNode::Kind::Truncated;
     }
     ref(_opaque);
     setReg(rd, _opaque);
@@ -217,27 +226,20 @@ void
 DepTracker::onStore(const Instruction &instr, std::uint64_t addr)
 {
     NodeId incoming = _regs[instr.rs2];
-    auto [it, inserted] = _mem.try_emplace(addr / 8, incoming);
-    if (inserted) {
-        if (incoming != kNoNode)
-            ref(incoming);
-        return;
+    std::uint64_t word = addr / 8;
+    if (word >= _mem.size()) {
+        if (incoming == kNoNode)
+            return;
+        _mem.resize(word + 1, kNoNode);
     }
-    NodeId old = it->second;
+    NodeId old = _mem[word];
     if (old == incoming)
         return;
     if (incoming != kNoNode)
         ref(incoming);
-    it->second = incoming;
+    _mem[word] = incoming;
     if (old != kNoNode)
         unref(old);
-}
-
-NodeId
-DepTracker::memProducer(std::uint64_t addr) const
-{
-    auto it = _mem.find(addr / 8);
-    return it == _mem.end() ? kNoNode : it->second;
 }
 
 }  // namespace amnesiac

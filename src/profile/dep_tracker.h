@@ -13,7 +13,9 @@
  * 32-bit NodeIds instead of shared_ptrs, and dead subgraphs are recycled
  * through a free list, so steady-state profiling performs no heap
  * allocation per dynamic instruction (the arena reaches a fixed point
- * once every static site's chain shapes have been seen).
+ * once every static site's chain shapes have been seen). The arena is
+ * a table of fixed-size pages: growth adds a page and never moves a
+ * node, so a node reference stays valid across allocation.
  */
 
 #ifndef AMNESIAC_PROFILE_DEP_TRACKER_H
@@ -21,7 +23,7 @@
 
 #include <array>
 #include <cstdint>
-#include <unordered_map>
+#include <memory>
 #include <vector>
 
 #include "isa/instruction.h"
@@ -35,7 +37,13 @@ using NodeId = std::uint32_t;
 /** "No producer" — the untracked origin (initial register state). */
 inline constexpr NodeId kNoNode = 0xFFFFFFFFu;
 
-/** One dynamic value production. Immutable once created. */
+/**
+ * One dynamic value production. Immutable once created.
+ *
+ * 32 bytes: only what varies per dynamic instance is stored. The static
+ * operand fields (rd, rs1, rs2, imm) are read from the instruction at
+ * `pc` in the profiled program.
+ */
 struct ProducerNode
 {
     /** What kind of production this is. */
@@ -52,27 +60,21 @@ struct ProducerNode
         Truncated,
     };
 
-    Kind kind = Kind::Alu;
-    std::uint32_t pc = 0;       ///< static site of the production
-    Opcode op = Opcode::Nop;
-    Reg rd = 0;
-    Reg rs1 = 0;
-    Reg rs2 = 0;
-    std::int64_t imm = 0;
+    /** The produced value (Live cuts, diagnostics, dry-run seeding). */
+    std::uint64_t value = 0;
+    /** Global dynamic sequence number (monotonic per production). */
+    std::uint64_t seq = 0;
+    std::uint32_t pc = 0;  ///< static site of the production
     /** Producers of the input operands; kNoNode = untracked origin
      * (initial register state). */
     NodeId in1 = kNoNode;
     NodeId in2 = kNoNode;
-    /** Global dynamic sequence number (monotonic per production). */
-    std::uint64_t seq = 0;
+    Kind kind = Kind::Alu;
+    Opcode op = Opcode::Nop;
     /** Longest producer chain below (and including) this node. Chains
      * are cut at kMaxChainDepth — far beyond any buildable slice — so
      * node graphs stay bounded and reclamation never walks deeply. */
     std::uint16_t depth = 1;
-    /** The produced value (diagnostics and dry-run seeding). */
-    std::uint64_t value = 0;
-    /** InputLoad only: the address the input was loaded from. */
-    std::uint64_t addr = 0;
 
     /** Number of producer links this node carries (0..2). */
     int
@@ -83,6 +85,8 @@ struct ProducerNode
         return numSources(op);
     }
 };
+
+static_assert(sizeof(ProducerNode) == 32, "ProducerNode must stay 32 bytes");
 
 /** Producer-chain depth limit (see ProducerNode::depth). */
 inline constexpr std::uint16_t kMaxChainDepth = 192;
@@ -102,10 +106,16 @@ inline constexpr std::uint16_t kSelfChainDepth = 8;
  * whose last reference drops is recycled (its slot returns to the free
  * list, cascading iteratively through its children). The tracker — and
  * therefore every NodeId it handed out — is confined to one thread.
+ * Copying a tracker copies every page: the copy keeps the same NodeIds
+ * and is fully independent of the original.
  */
 class DepTracker
 {
   public:
+    /** Nodes per arena page (a power of two). */
+    static constexpr unsigned kPageBits = 14;
+    static constexpr std::uint32_t kPageNodes = 1u << kPageBits;
+
     DepTracker() { _regs.fill(kNoNode); }
 
     /** Record execution of a sliceable instruction. */
@@ -140,13 +150,17 @@ class DepTracker
     }
 
     /** Producer of the value at a memory word (kNoNode if untracked). */
-    NodeId memProducer(std::uint64_t addr) const;
+    NodeId memProducer(std::uint64_t addr) const
+    {
+        std::uint64_t word = addr / 8;
+        return word < _mem.size() ? _mem[word] : kNoNode;
+    }
 
     /** The node behind an id. Valid until its last reference drops. */
     const ProducerNode &node(NodeId id) const
     {
-        AMNESIAC_ASSERT(id < _nodes.size(), "bad node id");
-        return _nodes[id];
+        AMNESIAC_ASSERT(id < _size, "bad node id");
+        return slot(id);
     }
 
     /**
@@ -164,20 +178,52 @@ class DepTracker
     /** Dynamic productions so far (sequence counter). */
     std::uint64_t productions() const { return _seq; }
 
-    /** Arena capacity in nodes (monitoring / allocation tests). */
-    std::size_t arenaSize() const { return _nodes.size(); }
+    /** Arena high-water mark in nodes (monitoring / allocation tests). */
+    std::size_t arenaSize() const { return _size; }
 
     /** Currently recycled slots (monitoring / allocation tests). */
-    std::size_t freeCount() const { return _free.size(); }
+    std::size_t freeCount() const { return _freeCount; }
 
   private:
+    /** One arena page: nodes and their refcounts, index-aligned. */
+    struct Page
+    {
+        std::array<ProducerNode, kPageNodes> nodes;
+        std::array<std::uint32_t, kPageNodes> refs{};
+    };
+
+    /** The page table. Copying it deep-copies every page. */
+    struct Pages
+    {
+        std::vector<std::unique_ptr<Page>> list;
+
+        Pages() = default;
+        Pages(const Pages &other);
+        Pages &operator=(const Pages &other);
+        Pages(Pages &&) noexcept = default;
+        Pages &operator=(Pages &&) noexcept = default;
+    };
+
+    ProducerNode &slot(NodeId id)
+    {
+        return _pages.list[id >> kPageBits]->nodes[id & (kPageNodes - 1)];
+    }
+    const ProducerNode &slot(NodeId id) const
+    {
+        return _pages.list[id >> kPageBits]->nodes[id & (kPageNodes - 1)];
+    }
+    std::uint32_t &refs(NodeId id)
+    {
+        return _pages.list[id >> kPageBits]->refs[id & (kPageNodes - 1)];
+    }
+
     /** Fresh slot with refcount 1 (free list first, then growth). */
     NodeId alloc();
 
     void ref(NodeId id)
     {
-        AMNESIAC_ASSERT(id < _refs.size() && _refs[id] > 0, "bad ref");
-        ++_refs[id];
+        AMNESIAC_ASSERT(id < _size && refs(id) > 0, "bad ref");
+        ++refs(id);
     }
 
     /** Drop one reference; reclaims the node (and, iteratively, any
@@ -194,12 +240,16 @@ class DepTracker
             unref(old);
     }
 
-    std::vector<ProducerNode> _nodes;
-    std::vector<std::uint32_t> _refs;  ///< parallel to _nodes
-    std::vector<NodeId> _free;         ///< recycled slots
-    std::vector<NodeId> _reclaim;      ///< scratch for iterative unref
+    Pages _pages;
+    std::uint32_t _size = 0;  ///< slots ever handed out (high-water)
+    /** Recycled slots, chained through their `in1` links (LIFO). */
+    NodeId _freeHead = kNoNode;
+    std::uint32_t _freeCount = 0;
+    std::vector<NodeId> _reclaim;  ///< scratch for iterative unref
     std::array<NodeId, kNumRegs> _regs;
-    std::unordered_map<std::uint64_t, NodeId> _mem;  ///< word addr -> node
+    /** Producer per memory word (addr / 8), grown by stores; words at
+     * or past the end have no producer. */
+    std::vector<NodeId> _mem;
     std::uint64_t _seq = 0;
     /** Shared sentinel for onOpaque (lazily allocated; the tracker's
      * own reference keeps it alive for the tracker's lifetime). */

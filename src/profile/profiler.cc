@@ -73,6 +73,9 @@ void
 Profiler::onExec(const ExecutionEngine &m, std::uint32_t pc,
                  const Instruction &instr)
 {
+    if (pc >= _execCounts.size())
+        _execCounts.resize(
+            std::max<std::size_t>(pc + 1, m.program().code.size()));
     ++_execCounts[pc];
     mirrorExec(_tracker, _config, m, pc, instr);
 }
@@ -81,8 +84,9 @@ void
 Profiler::onLoad(const ExecutionEngine &m, std::uint32_t pc, std::uint64_t addr,
                  std::uint64_t value, MemLevel serviced)
 {
-    (void)m;
     _values.record(pc, value);
+    if (pc >= _sites.size())
+        _sites.resize(std::max<std::size_t>(pc + 1, m.program().code.size()));
     SiteProfile &site = _sites[pc];
     site.pc = pc;
     ++site.count;
@@ -143,6 +147,7 @@ liveCutSignature(const ExecutionEngine &m, const DepTracker &tracker,
         return 0x22ull;
     --nodes_left;
     const ProducerNode &node = tracker.node(id);
+    const Instruction &instr = m.program().code[node.pc];
     std::uint64_t h = 0xCBF29CE484222325ull;
     h = sigMix(h, static_cast<std::uint64_t>(node.kind));
     h = sigMix(h, node.pc);
@@ -158,9 +163,9 @@ liveCutSignature(const ExecutionEngine &m, const DepTracker &tracker,
         return tracker.regProducer(read_reg) != kNoNode ? 0x11ull : 0x33ull;
     };
     if (node.fanIn() >= 1)
-        h = sigMix(h, operand(node.rs1, node.in1));
+        h = sigMix(h, operand(instr.rs1, node.in1));
     if (node.fanIn() >= 2)
-        h = sigMix(h, operand(node.rs2, node.in2));
+        h = sigMix(h, operand(instr.rs2, node.in2));
     return h;
 }
 
@@ -227,39 +232,36 @@ Profiler::collectLiveStats(const ExecutionEngine &m, SiteProfile &site,
 
     // Recursion mirrors the builder: a Live-matched operand is a cut —
     // nothing below it can end up in the slice on this instance.
+    const Instruction &instr = m.program().code[node.pc];
     int fan_in = node.fanIn();
-    if (fan_in >= 1 && !record(0, node.rs1, node.in1))
+    if (fan_in >= 1 && !record(0, instr.rs1, node.in1))
         collectLiveStats(m, site, node.in1, depth_left - 1, nodes_left);
-    if (fan_in >= 2 && !record(1, node.rs2, node.in2))
+    if (fan_in >= 2 && !record(1, instr.rs2, node.in2))
         collectLiveStats(m, site, node.in2, depth_left - 1, nodes_left);
 }
 
 const SiteProfile *
 Profiler::site(std::uint32_t pc) const
 {
-    auto it = _sites.find(pc);
-    return it == _sites.end() ? nullptr : &it->second;
+    if (pc >= _sites.size() || _sites[pc].count == 0)
+        return nullptr;
+    return &_sites[pc];
 }
 
 std::vector<const SiteProfile *>
 Profiler::sites() const
 {
     std::vector<const SiteProfile *> result;
-    result.reserve(_sites.size());
-    for (const auto &[pc, profile] : _sites)
-        result.push_back(&profile);
-    std::sort(result.begin(), result.end(),
-              [](const SiteProfile *a, const SiteProfile *b) {
-                  return a->pc < b->pc;
-              });
+    for (const SiteProfile &profile : _sites)
+        if (profile.count != 0)
+            result.push_back(&profile);
     return result;
 }
 
 std::uint64_t
 Profiler::execCount(std::uint32_t pc) const
 {
-    auto it = _execCounts.find(pc);
-    return it == _execCounts.end() ? 0 : it->second;
+    return pc < _execCounts.size() ? _execCounts[pc] : 0;
 }
 
 }  // namespace amnesiac

@@ -200,15 +200,12 @@ class Profiler : public MachineObserver, public ProfileSource
     const ValueLocalityProfiler &valueLocality() const { return _values; }
     const DepTracker &tracker() const { return _tracker; }
 
-    /** Raw per-site profiles (merge support; unordered). */
-    const std::unordered_map<std::uint32_t, SiteProfile> &siteMap() const
-    {
-        return _sites;
-    }
+    /** Per-site profiles indexed by pc (merge support); a site that
+     * never executed has count 0. */
+    const std::vector<SiteProfile> &siteTable() const { return _sites; }
 
-    /** Raw execution counts (merge support; unordered). */
-    const std::unordered_map<std::uint32_t, std::uint64_t> &
-    execCountMap() const
+    /** Execution counts indexed by pc (merge support). */
+    const std::vector<std::uint64_t> &execCountTable() const
     {
         return _execCounts;
     }
@@ -234,8 +231,9 @@ class Profiler : public MachineObserver, public ProfileSource
     std::size_t _maxDistinctTrees;
     DepTracker _tracker;
     ValueLocalityProfiler _values;
-    std::unordered_map<std::uint32_t, SiteProfile> _sites;
-    std::unordered_map<std::uint32_t, std::uint64_t> _execCounts;
+    /** Dense per-pc tables, sized to the program on first use. */
+    std::vector<SiteProfile> _sites;
+    std::vector<std::uint64_t> _execCounts;
 };
 
 }  // namespace amnesiac

@@ -99,29 +99,25 @@ explicitWindows(std::uint64_t total, const std::vector<std::uint64_t> &lens)
 const SiteProfile *
 ShardedProfile::site(std::uint32_t pc) const
 {
-    auto it = _sites.find(pc);
-    return it == _sites.end() ? nullptr : &it->second;
+    if (pc >= _sites.size() || _sites[pc].count == 0)
+        return nullptr;
+    return &_sites[pc];
 }
 
 std::vector<const SiteProfile *>
 ShardedProfile::sites() const
 {
     std::vector<const SiteProfile *> result;
-    result.reserve(_sites.size());
-    for (const auto &[pc, profile] : _sites)
-        result.push_back(&profile);
-    std::sort(result.begin(), result.end(),
-              [](const SiteProfile *a, const SiteProfile *b) {
-                  return a->pc < b->pc;
-              });
+    for (const SiteProfile &profile : _sites)
+        if (profile.count != 0)
+            result.push_back(&profile);
     return result;
 }
 
 std::uint64_t
 ShardedProfile::execCount(std::uint32_t pc) const
 {
-    auto it = _exec.find(pc);
-    return it == _exec.end() ? 0 : it->second;
+    return pc < _exec.size() ? _exec[pc] : 0;
 }
 
 double
@@ -150,8 +146,11 @@ ShardedProfile::mergeWindows(const ProfilerConfig &config)
     // every instance except the global first contributes exactly one
     // comparison — same as one serial pass.
     for (const auto &window : _windows) {
-        for (const auto &[pc, count] : window->execCountMap())
-            _exec[pc] += count;
+        const std::vector<std::uint64_t> &counts = window->execCountTable();
+        if (counts.size() > _exec.size())
+            _exec.resize(counts.size());
+        for (std::size_t pc = 0; pc < counts.size(); ++pc)
+            _exec[pc] += counts[pc];
         for (const auto &[pc, counts] : window->valueLocality().counts()) {
             ValueLocalityProfiler::SiteCounts &agg = _locality[pc];
             agg.count += counts.count;
@@ -167,9 +166,14 @@ ShardedProfile::mergeWindows(const ProfilerConfig &config)
     // order — exactly the order in which a serial profiler would have
     // stored (or, beyond the cap, refused) the shapes.
     for (std::uint32_t k = 0; k < _windows.size(); ++k) {
-        for (const auto &[pc, wsite] : _windows[k]->siteMap()) {
-            SiteProfile &site = _sites[pc];
-            site.pc = pc;
+        const std::vector<SiteProfile> &wsites = _windows[k]->siteTable();
+        if (wsites.size() > _sites.size())
+            _sites.resize(wsites.size());
+        for (const SiteProfile &wsite : wsites) {
+            if (wsite.count == 0)
+                continue;
+            SiteProfile &site = _sites[wsite.pc];
+            site.pc = wsite.pc;
             site.count += wsite.count;
             for (std::size_t level = 0; level < kNumMemLevels; ++level)
                 site.byLevel[level] += wsite.byLevel[level];
@@ -199,7 +203,7 @@ ShardedProfile::mergeWindows(const ProfilerConfig &config)
     // global first-occurrence order; later shapes only mark overflow
     // (their occurrences are not counted — the serial profiler never
     // counts instances of shapes it refused to store).
-    for (auto &[pc, site] : _sites) {
+    for (SiteProfile &site : _sites) {
         if (site.trees.size() > config.maxDistinctTrees) {
             site.trees.resize(config.maxDistinctTrees);
             site.treeOverflow = true;

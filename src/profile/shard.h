@@ -75,6 +75,12 @@ class ShardedProfile : public ProfileSource
         return static_cast<unsigned>(_windows.size());
     }
 
+    /** Window k's dependence tracker (arena counters). */
+    const DepTracker &tracker(unsigned k) const
+    {
+        return _windows[k]->tracker();
+    }
+
   private:
     ShardedProfile() = default;
 
@@ -85,8 +91,9 @@ class ShardedProfile : public ProfileSource
                    const HierarchyConfig &hierarchy,
                    const ProfilerConfig &config, const ShardOptions &options);
 
-    std::unordered_map<std::uint32_t, SiteProfile> _sites;
-    std::unordered_map<std::uint32_t, std::uint64_t> _exec;
+    /** Merged per-pc tables (see Profiler::siteTable). */
+    std::vector<SiteProfile> _sites;
+    std::vector<std::uint64_t> _exec;
     std::unordered_map<std::uint32_t, ValueLocalityProfiler::SiteCounts>
         _locality;
     std::vector<std::unique_ptr<Profiler>> _windows;

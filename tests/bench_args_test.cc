@@ -1,0 +1,62 @@
+/**
+ * @file
+ * Tests for the command-line parser shared by the bench harnesses
+ * (bench/common.h): well-formed values parse, and a numeric flag whose
+ * value does not parse in full exits with the usage message.
+ */
+
+#include <string>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "../bench/common.h"
+
+namespace amnesiac::bench {
+namespace {
+
+BenchArgs
+parse(std::vector<std::string> args)
+{
+    args.insert(args.begin(), "harness");
+    std::vector<char *> argv;
+    for (std::string &arg : args)
+        argv.push_back(arg.data());
+    return parseArgs(static_cast<int>(argv.size()), argv.data());
+}
+
+TEST(BenchArgs, ParsesNumericFlags)
+{
+    BenchArgs args = parse({"--jobs", "3", "--seed=7919", "--scale", "2.5",
+                            "--max-records", "100"});
+    EXPECT_EQ(args.config.jobs, 3u);
+    EXPECT_EQ(args.seed, 7919u);
+    EXPECT_EQ(args.config.seed, 7919u);
+    EXPECT_DOUBLE_EQ(args.config.energy.nonMemScale, 2.5);
+    EXPECT_EQ(args.config.traceMaxRecords, 100u);
+}
+
+TEST(BenchArgs, RejectsNonNumericValues)
+{
+    const std::vector<std::vector<std::string>> bad = {
+        {"--jobs", "x"},
+        {"--jobs=4x"},
+        {"--jobs", ""},
+        {"--jobs", "-1"},
+        {"--profile-jobs", "two"},
+        {"--seed", "1e3"},
+        {"--scale", "x"},
+        {"--scale=1.5x"},
+        {"--scale", ""},
+        {"--scale", "nan"},
+        {"--max-records", "10k"},
+    };
+    for (const std::vector<std::string> &args : bad) {
+        EXPECT_EXIT(parse(args), ::testing::ExitedWithCode(2),
+                    "bad value .*usage:")
+            << args[0];
+    }
+}
+
+}  // namespace
+}  // namespace amnesiac::bench

@@ -2,8 +2,10 @@
  * @file
  * Tests for the dynamic dependence tracker: producer linking through
  * registers and memory, input-load boundaries, tree signatures, depth
- * capping, and arena recycling.
+ * capping, arena recycling, and the paged arena layout.
  */
+
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -71,7 +73,6 @@ TEST(DepTracker, UntrackedLoadBecomesInputLeaf)
     const ProducerNode &node = t.node(id);
     EXPECT_EQ(node.kind, ProducerNode::Kind::InputLoad);
     EXPECT_EQ(node.value, 42u);
-    EXPECT_EQ(node.addr, 128u);
     EXPECT_EQ(node.fanIn(), 0);
 }
 
@@ -269,6 +270,97 @@ TEST(DepTracker, CopiedArenaRecyclesIndependently)
     EXPECT_EQ(t.node(t.regProducer(1)).value, 1u);
     EXPECT_EQ(t.node(t.regProducer(2)).value, 2u);
     EXPECT_EQ(t.productions(), 2u);
+}
+
+// --- paged arena: nodes stay 32 bytes, pages never move, copies are
+// deep, and the dense memory table has no producer past its end. ---
+
+TEST(DepTracker, ProducerNodeIsCompact)
+{
+    EXPECT_LE(sizeof(ProducerNode), 32u);
+}
+
+/** Keep `count` productions alive at once: each one is pinned. */
+std::vector<NodeId>
+pinnedChain(DepTracker &t, std::uint32_t count)
+{
+    std::vector<NodeId> ids;
+    for (std::uint32_t i = 0; i < count; ++i) {
+        t.onAlu(i, alu(Opcode::Li, 1, 0, 0, i), i);
+        ids.push_back(t.regProducer(1));
+        t.pin(ids.back());
+    }
+    return ids;
+}
+
+TEST(DepTracker, GrowthAcrossPagesKeepsEarlierNodes)
+{
+    DepTracker t;
+    const std::uint32_t count = 3 * DepTracker::kPageNodes + 17;
+    // Hold a reference into the first page across the growth of every
+    // later page: pages never move.
+    t.onAlu(0, alu(Opcode::Li, 2, 0, 0, 99), 99);
+    const ProducerNode &first = t.node(t.regProducer(2));
+    std::vector<NodeId> ids = pinnedChain(t, count);
+    EXPECT_GE(t.arenaSize(), count);
+    EXPECT_EQ(first.value, 99u);
+    EXPECT_EQ(first.pc, 0u);
+    for (std::uint32_t i = 0; i < count; ++i) {
+        ASSERT_EQ(ids[i], i + 1);  // ids are dense and never reassigned
+        EXPECT_EQ(t.node(ids[i]).pc, i);
+        EXPECT_EQ(t.node(ids[i]).value, i);
+        EXPECT_EQ(t.node(ids[i]).seq, i + 2);
+    }
+}
+
+TEST(DepTracker, CopiedTrackerIsDeepAcrossPages)
+{
+    DepTracker t;
+    const std::uint32_t count = 2 * DepTracker::kPageNodes + 5;
+    std::vector<NodeId> ids = pinnedChain(t, count);
+    DepTracker copy = t;
+    EXPECT_EQ(copy.arenaSize(), t.arenaSize());
+    for (std::uint32_t i = 0; i < count; ++i)
+        ASSERT_EQ(copy.node(ids[i]).value, i);
+
+    // Grow and churn each side separately: neither sees the other's
+    // nodes, and both keep their own pinned pages intact.
+    for (std::uint32_t i = 0; i < DepTracker::kPageNodes; ++i) {
+        t.onAlu(7, alu(Opcode::Li, 3, 0, 0, 1), 1000 + i);
+        t.pin(t.regProducer(3));
+        copy.onAlu(8, alu(Opcode::Li, 3, 0, 0, 2), 5000 + i);
+    }
+    EXPECT_GT(t.arenaSize(), copy.arenaSize());
+    EXPECT_EQ(t.node(t.regProducer(3)).pc, 7u);
+    EXPECT_EQ(copy.node(copy.regProducer(3)).pc, 8u);
+    EXPECT_EQ(copy.node(copy.regProducer(3)).value,
+              5000u + DepTracker::kPageNodes - 1);
+    for (std::uint32_t i = 0; i < count; ++i) {
+        ASSERT_EQ(t.node(ids[i]).value, i);
+        ASSERT_EQ(copy.node(ids[i]).value, i);
+    }
+}
+
+TEST(DepTracker, MemProducerPastHighestStoredWordIsUntracked)
+{
+    DepTracker t;
+    t.onAlu(1, alu(Opcode::Li, 2, 0, 0, 9), 9);
+    Instruction st;
+    st.op = Opcode::St;
+    st.rs2 = 2;
+    t.onStore(st, 8 * 100);
+    EXPECT_NE(t.memProducer(8 * 100), kNoNode);
+    EXPECT_EQ(t.memProducer(8 * 99), kNoNode);
+    EXPECT_EQ(t.memProducer(8 * 101), kNoNode);
+    EXPECT_EQ(t.memProducer(1ull << 40), kNoNode);
+
+    // A load past the end has no producer: it becomes an input leaf.
+    Instruction ld;
+    ld.op = Opcode::Ld;
+    ld.rd = 5;
+    t.onLoad(3, ld, 8 * 4096, 7);
+    EXPECT_EQ(t.node(t.regProducer(5)).kind,
+              ProducerNode::Kind::InputLoad);
 }
 
 }  // namespace

@@ -12,6 +12,10 @@
 namespace amnesiac {
 namespace {
 
+/** SliceBuilder keeps a pointer to its energy model: it must outlive
+ * every builder. */
+const EnergyModel kEnergy;
+
 struct Profiled
 {
     Program program;
@@ -64,10 +68,10 @@ makeProfiled(int chain_len, bool clobber_x)
 TEST(SliceBuilder, BuildsFullChainUnderGenerousBudget)
 {
     Profiled p = makeProfiled(4, false);
-    SliceBuilder builder(EnergyModel{}, SliceBuilderConfig{});
+    SliceBuilder builder(kEnergy, SliceBuilderConfig{});
     const SiteProfile *site = p.profiler.site(p.loadPc);
     ASSERT_NE(site, nullptr);
-    auto slice = builder.build(*site, 100.0, p.profiler);
+    auto slice = builder.build(*site, 100.0, p.profiler, p.program);
     ASSERT_TRUE(slice.has_value());
     EXPECT_EQ(slice->length(), 4u);
     EXPECT_EQ(slice->histLeafCount, 0u) << "x is live, no REC needed";
@@ -78,9 +82,9 @@ TEST(SliceBuilder, BuildsFullChainUnderGenerousBudget)
 TEST(SliceBuilder, TopologicalProducerIndexes)
 {
     Profiled p = makeProfiled(5, false);
-    SliceBuilder builder(EnergyModel{}, SliceBuilderConfig{});
+    SliceBuilder builder(kEnergy, SliceBuilderConfig{});
     auto slice = builder.build(*p.profiler.site(p.loadPc), 100.0,
-                               p.profiler);
+                               p.profiler, p.program);
     ASSERT_TRUE(slice.has_value());
     for (std::size_t i = 0; i < slice->instrs.size(); ++i) {
         const SliceInstr &instr = slice->instrs[i];
@@ -96,9 +100,9 @@ TEST(SliceBuilder, TopologicalProducerIndexes)
 TEST(SliceBuilder, ClobberedInputBecomesHistLeaf)
 {
     Profiled p = makeProfiled(3, true);
-    SliceBuilder builder(EnergyModel{}, SliceBuilderConfig{});
+    SliceBuilder builder(kEnergy, SliceBuilderConfig{});
     auto slice = builder.build(*p.profiler.site(p.loadPc), 100.0,
-                               p.profiler);
+                               p.profiler, p.program);
     ASSERT_TRUE(slice.has_value());
     // The x producer (li r2, 5) is itself a terminal Li, so the builder
     // can still expand into it instead of using Hist — the Li replica
@@ -114,30 +118,30 @@ TEST(SliceBuilder, ClobberedInputBecomesHistLeaf)
 TEST(SliceBuilder, ReturnsNothingWhenBudgetTooSmall)
 {
     Profiled p = makeProfiled(6, false);
-    SliceBuilder builder(EnergyModel{}, SliceBuilderConfig{});
+    SliceBuilder builder(kEnergy, SliceBuilderConfig{});
     // Budget below even a single-instruction slice (root + RCMP + RTN).
     auto slice = builder.build(*p.profiler.site(p.loadPc), 0.5,
-                               p.profiler);
+                               p.profiler, p.program);
     EXPECT_FALSE(slice.has_value());
 }
 
 TEST(SliceBuilder, BudgetCapsTheAcceptedCost)
 {
     Profiled p = makeProfiled(8, false);
-    SliceBuilder builder(EnergyModel{}, SliceBuilderConfig{});
+    SliceBuilder builder(kEnergy, SliceBuilderConfig{});
     auto big = builder.build(*p.profiler.site(p.loadPc), 100.0,
-                             p.profiler);
+                             p.profiler, p.program);
     ASSERT_TRUE(big.has_value());
     EXPECT_EQ(big->length(), 8u);
     // Any slice accepted under a tighter budget must respect it; here
     // every partial chain needs a Hist cut that costs more than the
     // full Live-leaf chain, so sub-full budgets yield nothing at all.
     auto medium = builder.build(*p.profiler.site(p.loadPc), 5.0,
-                                p.profiler);
+                                p.profiler, p.program);
     if (medium.has_value())
         EXPECT_LE(medium->ercEstimate, 5.0);
     auto tiny = builder.build(*p.profiler.site(p.loadPc), 1.0,
-                              p.profiler);
+                              p.profiler, p.program);
     EXPECT_FALSE(tiny.has_value());
 }
 
@@ -146,9 +150,9 @@ TEST(SliceBuilder, MaxInstrsCapHolds)
     Profiled p = makeProfiled(20, false);
     SliceBuilderConfig config;
     config.maxInstrs = 6;
-    SliceBuilder builder(EnergyModel{}, config);
+    SliceBuilder builder(kEnergy, config);
     auto slice = builder.build(*p.profiler.site(p.loadPc), 1000.0,
-                               p.profiler);
+                               p.profiler, p.program);
     ASSERT_TRUE(slice.has_value());
     EXPECT_LE(slice->length(), 6u);
 }
@@ -158,9 +162,9 @@ TEST(SliceBuilder, MaxHeightCapHolds)
     Profiled p = makeProfiled(20, false);
     SliceBuilderConfig config;
     config.maxHeight = 3;
-    SliceBuilder builder(EnergyModel{}, config);
+    SliceBuilder builder(kEnergy, config);
     auto slice = builder.build(*p.profiler.site(p.loadPc), 1000.0,
-                               p.profiler);
+                               p.profiler, p.program);
     ASSERT_TRUE(slice.has_value());
     EXPECT_LE(slice->height, 3u);
 }
@@ -179,17 +183,18 @@ TEST(SliceBuilder, NoSliceForUntrackedLoads)
     Machine m(program, EnergyModel{});
     m.setObserver(&profiler);
     m.run();
-    SliceBuilder builder(EnergyModel{}, SliceBuilderConfig{});
-    auto slice = builder.build(*profiler.site(load_pc), 100.0, profiler);
+    SliceBuilder builder(kEnergy, SliceBuilderConfig{});
+    auto slice = builder.build(*profiler.site(load_pc), 100.0, profiler,
+                               program);
     EXPECT_FALSE(slice.has_value());
 }
 
 TEST(SliceBuilder, EstimatesRecordedOnSlice)
 {
     Profiled p = makeProfiled(4, false);
-    SliceBuilder builder(EnergyModel{}, SliceBuilderConfig{});
+    SliceBuilder builder(kEnergy, SliceBuilderConfig{});
     auto slice = builder.build(*p.profiler.site(p.loadPc), 42.0,
-                               p.profiler);
+                               p.profiler, p.program);
     ASSERT_TRUE(slice.has_value());
     EXPECT_DOUBLE_EQ(slice->eldEstimate, 42.0);
     EXPECT_GT(slice->ercEstimate, 0.0);

@@ -81,6 +81,7 @@ def check_interp(base, fresh, ratio):
                              b[phase]["nsPerInstr"], f[phase]["nsPerInstr"],
                              ratio)
         check_exact(name, "productions", b["productions"], f["productions"])
+        check_exact(name, "arenaNodes", b["arenaNodes"], f["arenaNodes"])
         check_exact(name, "compile.byteIdentical", True,
                     f["compile"]["byteIdentical"])
         check_exact(name, "compile.prunedCandidates",
