@@ -89,10 +89,6 @@ enableHostProfiling(const BenchArgs &args)
  *
  *   --jobs <n>          worker threads for the experiment pipeline
  *                       (0 = hardware_concurrency, 1 = serial; default 0)
- *   --profile-jobs <n>  windows for the dependence-profiling pass
- *                       (1 = classic serial profiler, 0 = hardware
- *                       concurrency, K > 1 fixed; byte-identical
- *                       output for every value — default 1)
  *   --cache-dir <path>  content-addressed artifact cache for compiled
  *                       binaries (default: $AMNESIAC_CACHE_DIR if set,
  *                       else disabled)
@@ -127,7 +123,7 @@ parseArgs(int argc, char **argv)
     BenchArgs args;
     auto usage = [&]() {
         std::fprintf(stderr,
-                     "usage: %s [--jobs <n>] [--profile-jobs <n>] "
+                     "usage: %s [--jobs <n>] "
                      "[--cache-dir <path>] [--no-cache] [--seed <n>] "
                      "[--scale <x>] [--timing <scalar|pipelined>] "
                      "[--predictor <nottaken|bimodal|gshare>] "
@@ -186,9 +182,6 @@ parseArgs(int argc, char **argv)
         };
         if (arg == "--jobs") {
             args.config.jobs = static_cast<unsigned>(number());
-        } else if (arg == "--profile-jobs") {
-            args.config.compiler.profileJobs =
-                static_cast<unsigned>(number());
         } else if (arg == "--cache-dir") {
             args.config.cacheDir = next();
         } else if (arg == "--no-cache") {

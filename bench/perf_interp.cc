@@ -35,7 +35,6 @@
 #include "isa/serialize.h"
 #include "obs/manifest.h"
 #include "profile/profiler.h"
-#include "profile/shard.h"
 #include "report/experiment.h"
 #include "sim/machine.h"
 #include "workloads/registry.h"
@@ -97,16 +96,12 @@ struct WorkloadResult
     PhaseResult classic;
     PhaseResult amnesic;
     PhaseResult profile;
-    /** Sharded dependence profiling at hardware concurrency (includes
-     * the measuring + seeding passes — the honest end-to-end cost). */
-    PhaseResult profileSharded;
-    unsigned profileShards = 1;
     std::uint64_t productions = 0;  ///< profiling-phase producer nodes
     std::uint64_t arenaNodes = 0;   ///< profiling-phase arena high-water
+    std::uint64_t walkNodes = 0;    ///< profiling-phase tree-walk visits
     std::string manifestJson;       ///< RunManifest of one pipeline run
     double compilePrunedSec = 0.0;    ///< best compile, static prune on
     double compileUnprunedSec = 0.0;  ///< best compile, static prune off
-    double compileShardedSec = 0.0;   ///< best compile, profileJobs = hw
     std::uint64_t prunedCandidates = 0;
 };
 
@@ -207,23 +202,8 @@ main(int argc, char **argv)
             r.profile.instrs = machine.stats().dynInstrs;
             r.productions = profiler.tracker().productions();
             r.arenaNodes = profiler.tracker().arenaSize();
+            r.walkNodes = profiler.walkNodes();
         }
-
-        // --- sharded profiling pass (hardware concurrency) ---
-        for (int rep = 0; rep < repeats; ++rep) {
-            amnesiac::ShardOptions options;
-            options.jobs = 0;
-            options.runLimit = config.runLimit;
-            WallClock::time_point t0 = WallClock::now();
-            auto sharded = amnesiac::profileSharded(
-                workload.program, energy, hierarchy,
-                amnesiac::ProfilerConfig{}, options);
-            double sec = secondsSince(t0);
-            if (rep == 0 || sec < r.profileSharded.bestSec)
-                r.profileSharded.bestSec = sec;
-            r.profileShards = sharded->shards();
-        }
-        r.profileSharded.instrs = r.profile.instrs;
 
         // --- amnesic interpretation (compile once, untimed) ---
         {
@@ -286,30 +266,6 @@ main(int argc, char **argv)
                              name.c_str());
                 return 1;
             }
-
-            // Sharded-profiling compile, held to the same contract:
-            // profileJobs is scheduling, never policy, so the binary
-            // must match the serial compile byte for byte.
-            amnesiac::CompilerConfig sharded_config = pruned_config;
-            sharded_config.profileJobs = 0;
-            std::vector<std::uint8_t> sharded_bytes;
-            for (int rep = 0; rep < repeats; ++rep) {
-                AmnesicCompiler compiler(energy, hierarchy,
-                                         sharded_config);
-                WallClock::time_point t0 = WallClock::now();
-                CompileResult compiled = compiler.compile(workload.program);
-                double sec = secondsSince(t0);
-                if (rep == 0 || sec < r.compileShardedSec)
-                    r.compileShardedSec = sec;
-                sharded_bytes = serializeProgram(compiled.program);
-            }
-            if (sharded_bytes != pruned_bytes) {
-                std::fprintf(stderr,
-                             "%s: sharded profiling changed the emitted "
-                             "binary — equivalence contract violated\n",
-                             name.c_str());
-                return 1;
-            }
         }
 
         // --- one full pipeline run for the RunManifest phase times ---
@@ -327,7 +283,7 @@ main(int argc, char **argv)
     {
         char buf[128];
         std::snprintf(buf, sizeof(buf),
-                      "  \"bench\": \"perf_interp\",\n  \"version\": 2,\n"
+                      "  \"bench\": \"perf_interp\",\n  \"version\": 3,\n"
                       "  \"quick\": %s,\n  \"repeats\": %d,\n"
                       "  \"policy\": \"%s\",\n",
                       quick ? "true" : "false", repeats,
@@ -336,10 +292,8 @@ main(int argc, char **argv)
     }
     json += "  \"workloads\": [\n";
     PhaseResult classic_total, amnesic_total, profile_total;
-    PhaseResult profile_sharded_total;
     double compile_pruned_total = 0.0;
     double compile_unpruned_total = 0.0;
-    double compile_sharded_total = 0.0;
     std::uint64_t pruned_candidates_total = 0;
     for (std::size_t i = 0; i < results.size(); ++i) {
         const WorkloadResult &r = results[i];
@@ -349,19 +303,16 @@ main(int argc, char **argv)
         appendPhaseJson(json, "amnesic", r.amnesic);
         json += ",";
         appendPhaseJson(json, "profile", r.profile);
-        json += ",";
-        appendPhaseJson(json, "profileSharded", r.profileSharded);
         char buf[320];
         std::snprintf(buf, sizeof(buf),
-                      ",\"profileShards\":%u,\"productions\":%" PRIu64
-                      ",\"arenaNodes\":%" PRIu64
+                      ",\"productions\":%" PRIu64
+                      ",\"arenaNodes\":%" PRIu64 ",\"walkNodes\":%" PRIu64
                       ",\"compile\":{\"prunedSec\":%.9f,"
-                      "\"unprunedSec\":%.9f,\"shardedSec\":%.9f,"
+                      "\"unprunedSec\":%.9f,"
                       "\"prunedCandidates\":%" PRIu64
                       ",\"byteIdentical\":true},",
-                      r.profileShards, r.productions, r.arenaNodes,
-                      r.compilePrunedSec,
-                      r.compileUnprunedSec, r.compileShardedSec,
+                      r.productions, r.arenaNodes, r.walkNodes,
+                      r.compilePrunedSec, r.compileUnprunedSec,
                       r.prunedCandidates);
         json += buf;
         json += "\"manifest\":" + r.manifestJson + "}";
@@ -373,11 +324,8 @@ main(int argc, char **argv)
         amnesic_total.bestSec += r.amnesic.bestSec;
         profile_total.instrs += r.profile.instrs;
         profile_total.bestSec += r.profile.bestSec;
-        profile_sharded_total.instrs += r.profileSharded.instrs;
-        profile_sharded_total.bestSec += r.profileSharded.bestSec;
         compile_pruned_total += r.compilePrunedSec;
         compile_unpruned_total += r.compileUnprunedSec;
-        compile_sharded_total += r.compileShardedSec;
         pruned_candidates_total += r.prunedCandidates;
     }
     json += "  ],\n  \"totals\": {";
@@ -386,16 +334,14 @@ main(int argc, char **argv)
     appendPhaseJson(json, "amnesic", amnesic_total);
     json += ",";
     appendPhaseJson(json, "profile", profile_total);
-    json += ",";
-    appendPhaseJson(json, "profileSharded", profile_sharded_total);
     {
         char buf[224];
         std::snprintf(buf, sizeof(buf),
                       ",\"compile\":{\"prunedSec\":%.9f,"
-                      "\"unprunedSec\":%.9f,\"shardedSec\":%.9f,"
+                      "\"unprunedSec\":%.9f,"
                       "\"prunedCandidates\":%" PRIu64 "}",
                       compile_pruned_total, compile_unpruned_total,
-                      compile_sharded_total, pruned_candidates_total);
+                      pruned_candidates_total);
         json += buf;
     }
     json += "}\n}\n";
@@ -415,10 +361,6 @@ main(int argc, char **argv)
                 amnesic_total.nsPerInstr());
     std::printf("profile   %10.0f   %8.3f\n", profile_total.instrsPerSec(),
                 profile_total.nsPerInstr());
-    std::printf("sharded   %10.0f   %8.3f  (profiling at hw "
-                "concurrency, outputs byte-identical)\n",
-                profile_sharded_total.instrsPerSec(),
-                profile_sharded_total.nsPerInstr());
     double prune_delta_pct =
         compile_unpruned_total <= 0.0
             ? 0.0

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <map>
-#include <memory>
+#include <optional>
 #include <unordered_map>
 
 #include "analysis/analyzer.h"
@@ -11,7 +11,6 @@
 #include "core/cost_model.h"
 #include "core/dry_run.h"
 #include "profile/profiler.h"
-#include "profile/shard.h"
 #include "util/logging.h"
 
 namespace amnesiac {
@@ -26,25 +25,40 @@ AmnesicCompiler::AmnesicCompiler(const EnergyModel &energy,
 CompileResult
 AmnesicCompiler::compile(const Program &input) const
 {
+    return std::move(compileSets(input, {_config}).front());
+}
+
+std::vector<CompileResult>
+AmnesicCompiler::compileSets(const Program &input,
+                             const std::vector<CompilerConfig> &configs) const
+{
     AMNESIAC_ASSERT(input.slices.empty() &&
                         input.codeEnd == input.code.size(),
                     "input binary already contains slices");
+    AMNESIAC_ASSERT(!configs.empty(), "no compiler configuration");
+    const std::uint64_t run_limit = configs.front().runLimit;
+    for (const CompilerConfig &config : configs)
+        AMNESIAC_ASSERT(config.runLimit == run_limit,
+                        "slice sets of one profile need one runLimit");
 
     using Clock = std::chrono::steady_clock;
-    CompileResult result;
+    const std::size_t n = configs.size();
+    std::vector<CompileResult> results(n);
 
     // Top-level span covers the whole compile; per-pass spans nest
     // under it. The lap timer runs alongside: every named segment
-    // records the wall time since the previous one, so the passTimes
-    // table is gap-free and sums to the body's wall clock.
-    ScopedSpan compile_span(_config.oracleSet ? "compile:oracle" : "compile",
-                            input.name);
+    // records the wall time since the previous one in its owner's
+    // table (shared passes go to results[0]), so the tables are
+    // gap-free and together sum to the body's wall clock.
+    ScopedSpan compile_span(
+        n == 1 && configs[0].oracleSet ? "compile:oracle" : "compile",
+        input.name);
     auto lap_start = Clock::now();
-    auto lap = [&](const char *name) {
+    auto lap = [&](std::size_t owner, const char *name) {
         const auto now = Clock::now();
         const double sec =
             std::chrono::duration<double>(now - lap_start).count();
-        result.passTimes.push_back({name, sec});
+        results[owner].passTimes.push_back({name, sec});
         lap_start = now;
         return sec;
     };
@@ -53,84 +67,73 @@ AmnesicCompiler::compile(const Program &input) const
     // Rules the abstract interpretation can decide ahead of execution
     // (dead/cold sites, read-only inputs, slice-free value flows) are
     // decided here, so the dynamic profiler skips the per-instance tree
-    // work for them. Conservative only: see CompilerConfig::prune.
+    // work for them. Conservative only: see CompilerConfig::prune. The
+    // shared profile runs under the masks' intersection: a bit stays
+    // set only if every configuration's pruner proved it redundant.
+    auto prunes = [](const CompilerConfig &c) { return c.prune; };
+    std::vector<StaticPruneResult> pruned(n);
     ProfilerConfig prof_config;
-    if (_config.prune) {
+    if (std::any_of(configs.begin(), configs.end(), prunes)) {
         ScopedSpan span("pass:prune", input.name);
         DataflowFacts facts(input);
-        StaticPruneOptions prune_opts;
-        prune_opts.minSiteCount = _config.minSiteCount;
-        prune_opts.profitabilityMargin = _config.profitabilityMargin;
-        prune_opts.budgetMargin = _config.builder.budgetMargin;
-        prune_opts.oracleSet = _config.oracleSet;
-        prune_opts.energy = &_energy;
-        StaticPruneResult pruned =
-            computeStaticPrune(input, facts, prune_opts);
-        result.stats.prunedSites = pruned.prunedSites;
-        result.stats.prunedProductions = pruned.prunedProductions;
-        prof_config.skipSiteAnalysis = std::move(pruned.skipSiteAnalysis);
-        prof_config.opaqueProduction = std::move(pruned.opaqueProduction);
-        span.counter("prunedSites", pruned.prunedSites);
-        span.counter("prunedProds", pruned.prunedProductions);
+        std::uint64_t pruned_sites = 0;
+        std::uint64_t pruned_prods = 0;
+        for (std::size_t k = 0; k < n; ++k) {
+            const CompilerConfig &config = configs[k];
+            if (!config.prune)
+                continue;
+            StaticPruneOptions prune_opts;
+            prune_opts.minSiteCount = config.minSiteCount;
+            prune_opts.profitabilityMargin = config.profitabilityMargin;
+            prune_opts.budgetMargin = config.builder.budgetMargin;
+            prune_opts.oracleSet = config.oracleSet;
+            prune_opts.energy = &_energy;
+            pruned[k] = computeStaticPrune(input, facts, prune_opts);
+            results[k].stats.prunedSites = pruned[k].prunedSites;
+            results[k].stats.prunedProductions = pruned[k].prunedProductions;
+            pruned_sites += pruned[k].prunedSites;
+            pruned_prods += pruned[k].prunedProductions;
+        }
+        // An unpruned configuration sets no bit, so then the
+        // intersection is empty.
+        if (std::all_of(configs.begin(), configs.end(), prunes)) {
+            std::vector<std::uint8_t> &skip = prof_config.skipSiteAnalysis;
+            std::vector<std::uint8_t> &opaque = prof_config.opaqueProduction;
+            skip = pruned[0].skipSiteAnalysis;
+            opaque = pruned[0].opaqueProduction;
+            for (std::size_t k = 1; k < n; ++k)
+                for (std::size_t pc = 0; pc < skip.size(); ++pc) {
+                    skip[pc] &= pruned[k].skipSiteAnalysis[pc];
+                    opaque[pc] &= pruned[k].opaqueProduction[pc];
+                }
+        }
+        span.counter("prunedSites", pruned_sites);
+        span.counter("prunedProds", pruned_prods);
     }
-    result.analysisSec += lap("prune");
+    results[0].analysisSec += lap(0, "prune");
 
     // --- pass 1: dependence + residence profiling (§3.1.1, §4) ---
-    // Serial by default; profileJobs != 1 shards the run over dynamic
-    // instruction windows with a merge that reproduces the serial
-    // profile exactly (src/profile/shard.h).
-    std::unique_ptr<Profiler> serial_profiler;
-    std::unique_ptr<ShardedProfile> sharded_profile;
-    const ProfileSource *profile = nullptr;
+    Profiler profile(prof_config);
     {
         ScopedSpan span("pass:profile", input.name);
-        // Arena counters. A window tracker's sequence continues from
-        // its seed, so the largest count is the run's productions; the
-        // window arenas are separate and add up.
-        std::uint64_t productions = 0;
-        std::uint64_t arena_nodes = 0;
-        std::uint64_t free_nodes = 0;
-        auto count_arena = [&](const DepTracker &tracker) {
-            productions = std::max(productions, tracker.productions());
-            arena_nodes += tracker.arenaSize();
-            free_nodes += tracker.freeCount();
-        };
-        if (_config.profileJobs == 1) {
-            serial_profiler = std::make_unique<Profiler>(prof_config);
-            Machine machine(input, _energy, _hierarchy);
-            machine.setObserver(serial_profiler.get());
-            machine.run(_config.runLimit);
-            profile = serial_profiler.get();
-            count_arena(serial_profiler->tracker());
-        } else {
-            ShardOptions shard_opts;
-            shard_opts.jobs = _config.profileJobs;
-            shard_opts.runLimit = _config.runLimit;
-            sharded_profile = profileSharded(input, _energy, _hierarchy,
-                                             prof_config, shard_opts);
-            profile = sharded_profile.get();
-            result.profileShards = sharded_profile->shards();
-            for (unsigned k = 0; k < result.profileShards; ++k)
-                count_arena(sharded_profile->tracker(k));
-        }
-        span.counter("shards", result.profileShards);
-        span.counter("productions", productions);
-        span.counter("arenaNodes", arena_nodes);
-        span.counter("freeNodes", free_nodes);
+        Machine machine(input, _energy, _hierarchy);
+        machine.setObserver(&profile);
+        machine.run(run_limit);
+        const DepTracker &tracker = profile.tracker();
+        span.counter("walkNodes", profile.walkNodes());
+        span.counter("productions", tracker.productions());
+        span.counter("arenaNodes", tracker.arenaSize());
+        span.counter("freeNodes", tracker.freeCount());
     }
-    result.profileSec = lap("profile");
+    results[0].profileSec = lap(0, "profile");
 
-    CostModel cost(_energy);
-    SliceBuilder builder(_energy, _config.builder);
-
-    ScopedSpan select_span("pass:select", input.name);
-
+    const std::vector<const SiteProfile *> sites = profile.sites();
     // Global per-level residence distribution (the paper's Pr_Li model).
     std::array<double, kNumMemLevels> global_pr{};
     {
         std::array<std::uint64_t, kNumMemLevels> by_level{};
         std::uint64_t total = 0;
-        for (const SiteProfile *site : profile->sites()) {
+        for (const SiteProfile *site : sites) {
             for (std::size_t i = 0; i < kNumMemLevels; ++i)
                 by_level[i] += site->byLevel[i];
             total += site->count;
@@ -142,105 +145,133 @@ AmnesicCompiler::compile(const Program &input) const
                       static_cast<double>(total);
     }
 
-    std::vector<RSlice> candidates;
-    for (const SiteProfile *site : profile->sites()) {
-        ++result.stats.sitesSeen;
-        result.stats.totalDynLoads += site->count;
-        if (site->count < _config.minSiteCount) {
-            ++result.stats.rejectedCold;
-            continue;
-        }
-        if (site->stability() < _config.stabilityThreshold) {
-            ++result.stats.rejectedUnstable;
-            continue;
-        }
-        double eld = _config.globalResidenceModel
-            ? cost.loadEnergyFromDistribution(global_pr)
-            : cost.probabilisticLoadEnergy(*site);
-        // The Oracle set grows against the deepest budget and defers
-        // the economics to the runtime oracle (§5.1).
-        double budget = _config.oracleSet
-            ? _energy.loadEnergy(MemLevel::Memory) : eld;
-        auto slice = builder.build(*site, budget, *profile, input);
-        if (!slice) {
-            ++result.stats.rejectedNoSlice;
-            continue;
-        }
-        slice->eldEstimate = eld;
-        if (!_config.oracleSet &&
-            slice->ercEstimate >= _config.profitabilityMargin * eld) {
-            ++result.stats.rejectedEnergy;
-            continue;
-        }
-        slice->profCount = site->count;
-        for (std::size_t i = 0; i < kNumMemLevels; ++i)
-            slice->profResidence[i] =
-                site->prLevel(static_cast<MemLevel>(i));
-        slice->valueLocalityPct = profile->valueLocalityPercent(site->pc);
-        candidates.push_back(std::move(*slice));
-    }
-    select_span.counter("sitesSeen", result.stats.sitesSeen);
-    select_span.counter("candidates", candidates.size());
-    select_span.stop();
-    lap("select");
-
-    // --- pass 2: functional dry-run validation (DESIGN.md §5) ---
-    if (!candidates.empty()) {
-        ScopedSpan span("pass:dryrun", input.name);
-        DryRunValidator validator(candidates);
-        Machine machine(input, _energy, _hierarchy);
-        machine.setObserver(&validator);
-        machine.run(_config.runLimit);
-
-        std::vector<RSlice> validated;
-        for (RSlice &slice : candidates) {
-            const DryRunSiteResult &dry = validator.result(slice.loadPc);
-            if (dry.evaluated == 0 ||
-                dry.matchRate() < _config.matchThreshold) {
-                ++result.stats.rejectedMatch;
+    CostModel cost(_energy);
+    std::vector<std::vector<RSlice>> candidates(n);
+    for (std::size_t k = 0; k < n; ++k) {
+        const CompilerConfig &config = configs[k];
+        CompileStats &stats = results[k].stats;
+        SliceBuilder builder(_energy, config.builder);
+        ScopedSpan select_span("pass:select", input.name);
+        for (const SiteProfile *site : sites) {
+            ++stats.sitesSeen;
+            stats.totalDynLoads += site->count;
+            if (site->count < config.minSiteCount) {
+                ++stats.rejectedCold;
                 continue;
             }
-            slice.dryRunMatchRate = dry.matchRate();
-            validated.push_back(std::move(slice));
+            // A site this configuration's pruner skipped has no trees
+            // in its own profile; the shared one may have analyzed it
+            // for another configuration.
+            const std::vector<std::uint8_t> &skip =
+                pruned[k].skipSiteAnalysis;
+            const bool skipped = site->pc < skip.size() && skip[site->pc];
+            if ((skipped ? 0.0 : site->stability()) <
+                config.stabilityThreshold) {
+                ++stats.rejectedUnstable;
+                continue;
+            }
+            double eld = config.globalResidenceModel
+                ? cost.loadEnergyFromDistribution(global_pr)
+                : cost.probabilisticLoadEnergy(*site);
+            // The Oracle set grows against the deepest budget and
+            // defers the economics to the runtime oracle (§5.1).
+            double budget = config.oracleSet
+                ? _energy.loadEnergy(MemLevel::Memory) : eld;
+            auto slice = skipped
+                ? std::optional<RSlice>()
+                : builder.build(*site, budget, profile, input);
+            if (!slice) {
+                ++stats.rejectedNoSlice;
+                continue;
+            }
+            slice->eldEstimate = eld;
+            if (!config.oracleSet &&
+                slice->ercEstimate >= config.profitabilityMargin * eld) {
+                ++stats.rejectedEnergy;
+                continue;
+            }
+            slice->profCount = site->count;
+            for (std::size_t i = 0; i < kNumMemLevels; ++i)
+                slice->profResidence[i] =
+                    site->prLevel(static_cast<MemLevel>(i));
+            slice->valueLocalityPct = profile.valueLocalityPercent(site->pc);
+            candidates[k].push_back(std::move(*slice));
         }
-        candidates = std::move(validated);
-        span.counter("validated", candidates.size());
-    }
-    lap("dryrun");
-
-    result.stats.selected = candidates.size();
-    for (const RSlice &slice : candidates) {
-        const SiteProfile *site = profile->site(slice.loadPc);
-        result.stats.coveredDynLoads += site ? site->count : 0;
+        select_span.counter("sitesSeen", stats.sitesSeen);
+        select_span.counter("candidates", candidates[k].size());
+        select_span.stop();
+        lap(k, "select");
     }
 
-    // --- pass 3: rewrite (§3.1.2) ---
-    {
-        ScopedSpan span("pass:rewrite", input.name);
-        result.program = rewrite(input, candidates, &result.stats);
-        result.slices = std::move(candidates);
-        span.counter("selected", result.stats.selected);
-        span.counter("instrs", result.program.code.size());
-    }
-    lap("rewrite");
+    // --- pass 2: functional dry-run validation (DESIGN.md §5) ---
+    // One replay validates every candidate set.
+    if (std::any_of(candidates.begin(), candidates.end(),
+                    [](const auto &set) { return !set.empty(); })) {
+        ScopedSpan span("pass:dryrun", input.name);
+        std::vector<DryRunValidator> validators(candidates.begin(),
+                                                candidates.end());
+        DryRunTee tee(validators);
+        Machine machine(input, _energy, _hierarchy);
+        machine.setObserver(&tee);
+        machine.run(run_limit);
 
-    // --- pass 4: mandatory analysis gate ---
-    // A compiler that emits a structurally broken binary is a compiler
-    // bug, never a workload property: fail hard instead of letting the
-    // machine corrupt state later.
+        std::uint64_t validated_total = 0;
+        for (std::size_t k = 0; k < n; ++k) {
+            std::vector<RSlice> validated;
+            for (RSlice &slice : candidates[k]) {
+                const DryRunSiteResult &dry =
+                    validators[k].result(slice.loadPc);
+                if (dry.evaluated == 0 ||
+                    dry.matchRate() < configs[k].matchThreshold) {
+                    ++results[k].stats.rejectedMatch;
+                    continue;
+                }
+                slice.dryRunMatchRate = dry.matchRate();
+                validated.push_back(std::move(slice));
+            }
+            candidates[k] = std::move(validated);
+            validated_total += candidates[k].size();
+        }
+        span.counter("validated", validated_total);
+    }
+    lap(0, "dryrun");
+
     AnalyzerOptions lint;
     lint.energy = _energy.config();
-    ScopedSpan gate_span("pass:gate", input.name);
-    AnalysisReport report = analyzeProgram(result.program, lint);
-    gate_span.stop();
-    result.analysisSec += lap("gate");
-    if (report.hasErrors())
-        AMNESIAC_FATAL(std::string("compiler emitted an ill-formed "
-                                   "binary:\n") +
-                       report.renderText());
-    result.stats.analysisWarnings = report.warningCount();
-    result.stats.analysisNotes = report.count(Severity::Note);
-    return result;
+    for (std::size_t k = 0; k < n; ++k) {
+        CompileResult &result = results[k];
+        result.stats.selected = candidates[k].size();
+        for (const RSlice &slice : candidates[k]) {
+            const SiteProfile *site = profile.site(slice.loadPc);
+            result.stats.coveredDynLoads += site ? site->count : 0;
+        }
+
+        // --- pass 3: rewrite (§3.1.2) ---
+        {
+            ScopedSpan span("pass:rewrite", input.name);
+            result.program = rewrite(input, candidates[k], &result.stats);
+            result.slices = std::move(candidates[k]);
+            span.counter("selected", result.stats.selected);
+            span.counter("instrs", result.program.code.size());
+        }
+        lap(k, "rewrite");
+
+        // --- pass 4: mandatory analysis gate ---
+        // A compiler that emits a structurally broken binary is a
+        // compiler bug, never a workload property: fail hard instead of
+        // letting the machine corrupt state later.
+        ScopedSpan gate_span("pass:gate", input.name);
+        AnalysisReport report = analyzeProgram(result.program, lint);
+        gate_span.stop();
+        result.analysisSec += lap(k, "gate");
+        if (report.hasErrors())
+            AMNESIAC_FATAL(std::string("compiler emitted an ill-formed "
+                                       "binary:\n") +
+                           report.renderText());
+        result.stats.analysisWarnings = report.warningCount();
+        result.stats.analysisNotes = report.count(Severity::Note);
+    }
+    return results;
 }
 
 Program

@@ -63,17 +63,6 @@ struct CompilerConfig
     bool prune = true;
     /** Runaway guard for the profiling simulations. */
     std::uint64_t runLimit = 1ull << 32;
-    /**
-     * Worker threads for the dependence-profiling pass. 1 (default)
-     * runs the classic serial profiler; 0 = hardware concurrency;
-     * K > 1 shards the run into K dynamic-instruction windows on a
-     * private pool (src/profile/shard.h). Pure scheduling: the
-     * profile, the selected candidates, and the emitted binary are
-     * byte-identical for every value (machine-checked in
-     * tests/profile_shard_test.cc), so this is excluded from the
-     * canonical experiment config string like the other jobs knobs.
-     */
-    unsigned profileJobs = 1;
 };
 
 /** Why candidates were kept or dropped (reported by benches/tests). */
@@ -115,15 +104,16 @@ struct CompileResult
     /** Wall-clock seconds of the dependence-profiling pass (pass 1
      * only — a share of the pipeline's compileSec, like analysisSec). */
     double profileSec = 0.0;
-    /** Windows the profiling pass ran as (1 = the serial profiler). */
-    unsigned profileShards = 1;
     /**
-     * Gap-free per-pass wall-clock laps over the compile() body, in
+     * Gap-free per-pass wall-clock laps over the compile body, in
      * execution order (prune, profile, select, dryrun, rewrite, gate):
      * each entry covers everything since the previous one, so the
-     * entries sum to the body's wall time. Diagnostic only — never
-     * serialized into cached artifacts (a cache hit legitimately has an
-     * empty table). Feeds RunManifest::passes.
+     * entries sum to the body's wall time. compileSets() charges the
+     * passes its results share (prune, profile, dryrun) to the first
+     * result only, so the tables of all its results together sum to
+     * the call's wall time. Diagnostic only — never serialized into
+     * cached artifacts (a cache hit legitimately has an empty table).
+     * Feeds RunManifest::passes.
      */
     std::vector<PassTime> passTimes;
 };
@@ -131,7 +121,9 @@ struct CompileResult
 /**
  * Profile-guided amnesic compilation: two classic profiling runs
  * (dependence/residence profiling, then dry-run validation) followed by
- * the rewrite. The input binary must be slice-free.
+ * the rewrite. The input binary must be slice-free. Several slice sets
+ * of one program (the probabilistic and the Oracle set, §5.1) share
+ * both runs through compileSets().
  */
 class AmnesicCompiler
 {
@@ -140,8 +132,23 @@ class AmnesicCompiler
                     const HierarchyConfig &hierarchy = {},
                     const CompilerConfig &config = {});
 
-    /** Run the full pass. */
+    /** Run the full pass under the constructor's configuration. */
     CompileResult compile(const Program &input) const;
+
+    /**
+     * Run the full pass once per configuration, sharing the work that
+     * does not depend on it: one dataflow solve, one profiling run and
+     * one dry-run replay serve every configuration. The profile is
+     * taken under the intersection of the configurations' prune masks,
+     * which by the pruner's conservative-only contract leaves every
+     * site a configuration keeps profiled exactly as under its own
+     * masks. Result k is byte-identical to compile() under configs[k];
+     * the configurations must agree on runLimit. The constructor's
+     * configuration is not used.
+     */
+    std::vector<CompileResult>
+    compileSets(const Program &input,
+                const std::vector<CompilerConfig> &configs) const;
 
     /**
      * Rewrite only (exposed for tests): swap the given loads and embed

@@ -23,6 +23,8 @@ class CostModel
 {
   public:
     /**
+     * @param energy kept by pointer, so it must outlive the model (a
+     *        temporary is rejected at compile time)
      * @param timing optional cycle-accounting backend latency queries
      *        route through (src/timing). Null = the EnergyModel's base
      *        latencies directly, which every backend shares by the
@@ -36,6 +38,7 @@ class CostModel
         : _energy(&energy), _timing(timing)
     {
     }
+    explicit CostModel(EnergyModel &&, const TimingModel * = nullptr) = delete;
 
     /**
      * Eld(v): sum over levels of Pr_Li × EPI of a load serviced at Li

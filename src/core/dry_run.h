@@ -44,11 +44,14 @@ struct DryRunSiteResult
  * Observer implementing the validation pass over the *original*
  * (pre-rewrite) binary.
  */
-class DryRunValidator : public MachineObserver
+class DryRunValidator final : public MachineObserver
 {
   public:
-    /** @param candidates candidate slices, one per (distinct) load pc */
+    /** @param candidates candidate slices, one per (distinct) load pc;
+     *        kept by pointer, so they must outlive the validator (a
+     *        temporary is rejected at compile time) */
     explicit DryRunValidator(const std::vector<RSlice> &candidates);
+    explicit DryRunValidator(std::vector<RSlice> &&) = delete;
 
     void onExec(const ExecutionEngine &m, std::uint32_t pc,
                 const Instruction &instr) override;
@@ -76,6 +79,38 @@ class DryRunValidator : public MachineObserver
         _captures;
     std::unordered_map<HistKey, std::array<std::uint64_t, 2>> _shadowHist;
     std::unordered_map<std::uint32_t, DryRunSiteResult> _results;
+};
+
+/**
+ * Forwards one classic run to several validators, so a single replay
+ * validates several candidate sets (AmnesicCompiler::compileSets).
+ */
+class DryRunTee final : public MachineObserver
+{
+  public:
+    explicit DryRunTee(std::vector<DryRunValidator> &validators)
+        : _validators(&validators)
+    {
+    }
+
+    void
+    onExec(const ExecutionEngine &m, std::uint32_t pc,
+           const Instruction &instr) override
+    {
+        for (DryRunValidator &validator : *_validators)
+            validator.onExec(m, pc, instr);
+    }
+
+    void
+    onLoad(const ExecutionEngine &m, std::uint32_t pc, std::uint64_t addr,
+           std::uint64_t value, MemLevel serviced) override
+    {
+        for (DryRunValidator &validator : *_validators)
+            validator.onLoad(m, pc, addr, value, serviced);
+    }
+
+  private:
+    std::vector<DryRunValidator> *_validators;
 };
 
 }  // namespace amnesiac

@@ -31,7 +31,7 @@ SliceBuilder::SliceBuilder(const EnergyModel &energy,
 
 double
 SliceBuilder::recPerLoad(const RSlice &slice, const SiteProfile &site,
-                         const ProfileSource &profile) const
+                         const Profiler &profile) const
 {
     if (site.count == 0)
         return 1.0;
@@ -45,13 +45,13 @@ SliceBuilder::recPerLoad(const RSlice &slice, const SiteProfile &site,
 
 std::optional<RSlice>
 SliceBuilder::build(const SiteProfile &site, double energy_budget,
-                    const ProfileSource &profile,
+                    const Profiler &profile,
                     const Program &program) const
 {
     const CandidateTree *top = site.topTree();
     if (!top || top->representative == kNoNode)
         return std::nullopt;
-    const DepTracker &tracker = profile.treeArena(*top);
+    const DepTracker &tracker = profile.tracker();
     if (tracker.node(top->representative).kind != ProducerNode::Kind::Alu)
         return std::nullopt;
 

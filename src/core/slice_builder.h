@@ -47,17 +47,18 @@ struct SliceBuilderConfig
 class SliceBuilder
 {
   public:
+    /** Keeps a pointer to `energy`, which must outlive the builder (a
+     * temporary is rejected at compile time). */
     SliceBuilder(const EnergyModel &energy,
                  const SliceBuilderConfig &config);
+    SliceBuilder(EnergyModel &&, const SliceBuilderConfig &) = delete;
 
     /**
      * @param site the load site's profile (tree shapes, live stats)
      * @param energy_budget Eld estimate that caps Erc (§2: "the energy
      *        consumption of the load sets the energy budget")
      * @param profile execution counts for REC amortization and the
-     *        arena holding the site's tree representatives (serial
-     *        Profiler or merged ShardedProfile — the builder cannot
-     *        tell them apart, which is the point)
+     *        arena holding the site's tree representatives
      * @param program the profiled program: the static operand fields
      *        of every tree node are read from its instruction
      * @return the grown slice, or nullopt if even the minimal
@@ -66,12 +67,12 @@ class SliceBuilder
      */
     std::optional<RSlice> build(const SiteProfile &site,
                                 double energy_budget,
-                                const ProfileSource &profile,
+                                const Profiler &profile,
                                 const Program &program) const;
 
     /** REC executions per dynamic load for a candidate slice. */
     double recPerLoad(const RSlice &slice, const SiteProfile &site,
-                      const ProfileSource &profile) const;
+                      const Profiler &profile) const;
 
   private:
     const EnergyModel *_energy;

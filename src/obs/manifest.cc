@@ -29,10 +29,10 @@ renderManifestJson(const RunManifest &manifest)
         "{\"configDigest\":\"%016" PRIx64 "\",\"seed\":%" PRIu64
         ",\"jobsRequested\":%u,\"jobsEffective\":%u,"
         "\"prunedCandidates\":%" PRIu64 ","
-        "\"profileShards\":%u,\"cacheHits\":%u,\"cacheMisses\":%u,",
+        "\"cacheHits\":%u,\"cacheMisses\":%u,",
         manifest.configDigest, manifest.seed, manifest.jobsRequested,
         manifest.jobsEffective, manifest.prunedCandidates,
-        manifest.profileShards, manifest.cacheHits, manifest.cacheMisses);
+        manifest.cacheHits, manifest.cacheMisses);
     std::string out = buf;
     out += "\"passes\":{";
     bool first = true;

@@ -63,20 +63,15 @@ struct RunManifest
      * Deterministic: a pure function of program + config, never of
      * scheduling — rendered inside the determinism-witness prefix. */
     std::uint64_t prunedCandidates = 0;
-    /** Windows the dependence-profiling pass ran as (max over the
-     * compiles; 1 = serial). Scheduling provenance, like jobsEffective:
-     * machine-dependent when profileJobs = 0, so rendered outside the
-     * determinism-witness prefix. */
-    unsigned profileShards = 1;
     /** Compiles served from the artifact cache this run (0–2: the
      * probabilistic and oracle sets cache independently). Depends on
-     * disk state, so also outside the witness prefix. */
+     * disk state, so rendered outside the witness prefix. */
     unsigned cacheHits = 0;
     /** Compiles that probed a configured cache and found nothing (the
      * complement of cacheHits; 0 when no cache is configured). */
     unsigned cacheMisses = 0;
     PhaseTimes phases;
-    /** Per-pass wall-clock breakdown of compileSec (both compiles,
+    /** Per-pass wall-clock breakdown of compileSec (both slice sets,
      * summed by pass name in first-appearance order; filled from the
      * compiler's span laps, gap-free so the entries sum to compileSec
      * within timer noise). Empty when every compile was a cache hit. */

@@ -8,10 +8,10 @@
  * parent/child nesting, and up to four integer counter annotations
  * (instructions replayed, candidates pruned, cache hits, bytes
  * written). The pipeline instruments itself at pass/phase/task
- * granularity — compiler passes, profiling shard windows, artifact
- * cache probes, thread-pool queue waits — never per simulated
- * instruction, so the enabled overhead is bounded by the number of
- * pipeline steps, not the dynamic instruction count.
+ * granularity — compiler passes, artifact cache probes, thread-pool
+ * queue waits — never per simulated instruction, so the enabled
+ * overhead is bounded by the number of pipeline steps, not the dynamic
+ * instruction count.
  *
  * Cost contract: profiling is compiled in but disabled by default, and
  * the disabled path is one relaxed atomic load + branch per span site

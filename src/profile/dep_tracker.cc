@@ -218,6 +218,8 @@ DepTracker::onOpaque(Reg rd)
         _opaque = alloc();
         slot(_opaque).kind = ProducerNode::Kind::Truncated;
     }
+    ++_seq;
+    ++_opaqueSeqs;
     ref(_opaque);
     setReg(rd, _opaque);
 }

@@ -131,11 +131,12 @@ class DepTracker
      * Record a production the static pruner proved can never appear in
      * a surviving slice tree: the destination register is pointed at a
      * shared opaque sentinel instead of a real linked node. No operand
-     * evaluation, no per-instance allocation, and no sequence-number
-     * bump — the relative seq order of real productions is untouched,
-     * so the trees the builder sees are byte-for-byte the same as in an
-     * unpruned run (the sentinel, like an untracked origin, only ever
-     * flows into loads whose analysis is itself skipped).
+     * evaluation and no per-instance allocation, but the sequence
+     * number advances as for a real node, so every real production
+     * carries the same seq under any prune mask — the trees the builder
+     * sees, seqs included, are byte-for-byte the same as in an unpruned
+     * run (the sentinel, like an untracked origin, only ever flows into
+     * loads whose analysis is itself skipped).
      */
     void onOpaque(Reg rd);
 
@@ -175,8 +176,8 @@ class DepTracker
             ref(id);
     }
 
-    /** Dynamic productions so far (sequence counter). */
-    std::uint64_t productions() const { return _seq; }
+    /** Linked (non-opaque) dynamic productions so far. */
+    std::uint64_t productions() const { return _seq - _opaqueSeqs; }
 
     /** Arena high-water mark in nodes (monitoring / allocation tests). */
     std::size_t arenaSize() const { return _size; }
@@ -251,6 +252,8 @@ class DepTracker
      * or past the end have no producer. */
     std::vector<NodeId> _mem;
     std::uint64_t _seq = 0;
+    /** Sequence numbers taken by opaque productions. */
+    std::uint64_t _opaqueSeqs = 0;
     /** Shared sentinel for onOpaque (lazily allocated; the tracker's
      * own reference keeps it alive for the tracker's lifetime). */
     NodeId _opaque = kNoNode;

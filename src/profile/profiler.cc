@@ -1,7 +1,6 @@
 #include "profile/profiler.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "util/logging.h"
 
@@ -35,39 +34,7 @@ SiteProfile::stability() const
     return static_cast<double>(best->count) / static_cast<double>(count);
 }
 
-Profiler::Profiler(const ProfilerConfig &config)
-    : _config(config), _maxDistinctTrees(config.maxDistinctTrees)
-{
-}
-
-Profiler::Profiler(const ProfilerConfig &config, Seed &&seed)
-    : _config(config),
-      _maxDistinctTrees(std::numeric_limits<std::size_t>::max()),
-      _tracker(std::move(seed.tracker))
-{
-    for (const auto &[pc, value] : seed.lastValues)
-        _values.seedLast(pc, value);
-}
-
-void
-Profiler::mirrorExec(DepTracker &tracker, const ProfilerConfig &config,
-                     const ExecutionEngine &m, std::uint32_t pc,
-                     const Instruction &instr)
-{
-    if (!isSliceable(instr.op))
-        return;
-    if (pc < config.opaqueProduction.size() && config.opaqueProduction[pc]) {
-        tracker.onOpaque(instr.rd);
-        return;
-    }
-    // Mirror the execution so the tracker can link producers. The
-    // observer fires pre-execution, so source registers still hold
-    // the instruction's inputs.
-    std::uint64_t result = Machine::evalAlu(
-        instr.op, m.reg(instr.rs1 < kNumRegs ? instr.rs1 : 0),
-        m.reg(instr.rs2 < kNumRegs ? instr.rs2 : 0), instr.imm);
-    tracker.onAlu(pc, instr, result);
-}
+Profiler::Profiler(const ProfilerConfig &config) : _config(config) {}
 
 void
 Profiler::onExec(const ExecutionEngine &m, std::uint32_t pc,
@@ -77,7 +44,20 @@ Profiler::onExec(const ExecutionEngine &m, std::uint32_t pc,
         _execCounts.resize(
             std::max<std::size_t>(pc + 1, m.program().code.size()));
     ++_execCounts[pc];
-    mirrorExec(_tracker, _config, m, pc, instr);
+    if (!isSliceable(instr.op))
+        return;
+    if (pc < _config.opaqueProduction.size() &&
+        _config.opaqueProduction[pc]) {
+        _tracker.onOpaque(instr.rd);
+        return;
+    }
+    // Mirror the execution so the tracker can link producers. The
+    // observer fires pre-execution, so source registers still hold
+    // the instruction's inputs.
+    std::uint64_t result = Machine::evalAlu(
+        instr.op, m.reg(instr.rs1 < kNumRegs ? instr.rs1 : 0),
+        m.reg(instr.rs2 < kNumRegs ? instr.rs2 : 0), instr.imm);
+    _tracker.onAlu(pc, instr, result);
 }
 
 void
@@ -185,15 +165,19 @@ Profiler::analyzeTree(const ExecutionEngine &m, SiteProfile &site,
                            });
     if (it != site.trees.end()) {
         ++it->count;
-    } else if (site.trees.size() < _maxDistinctTrees) {
+    } else if (site.trees.size() < _config.maxDistinctTrees) {
         _tracker.pin(root);  // keep the representative alive in the arena
-        site.trees.push_back({sig, 1, root, 0});
+        site.trees.push_back({sig, 1, root});
     } else {
         site.treeOverflow = true;
     }
 
-    int nodes_left = _config.maxTreeNodes;
-    collectLiveStats(m, site, root, _config.maxTreeDepth, nodes_left);
+    int live_nodes_left = _config.maxTreeNodes;
+    collectLiveStats(m, site, root, _config.maxTreeDepth, live_nodes_left);
+    // Both walks count down from the same cap, one per visited node.
+    _walkNodes += static_cast<std::uint64_t>(2 * _config.maxTreeNodes -
+                                             sig_nodes_left -
+                                             live_nodes_left);
 }
 
 void

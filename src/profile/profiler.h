@@ -49,14 +49,9 @@ struct CandidateTree
     std::uint64_t signature = 0;
     std::uint64_t count = 0;
     /** First dynamic instance with this signature (pinned in the
-     * owning DepTracker arena, so it stays valid for the whole
+     * profiler's DepTracker arena, so it stays valid for the whole
      * profiling run). */
     NodeId representative = kNoNode;
-    /** Which arena owns `representative`: the index of the profiling
-     * shard that recorded this shape (always 0 for a serial run).
-     * Resolve through ProfileSource::treeArena — never assume a single
-     * global arena. */
-    std::uint32_t arena = 0;
 };
 
 /** Live-operand statistics key: (node pc, operand index). */
@@ -112,62 +107,14 @@ struct SiteProfile
 };
 
 /**
- * Read-only view of a completed profiling pass — everything the amnesic
- * compiler and slice builder consume. Implemented by Profiler (one
- * serial run) and ShardedProfile (src/profile/shard.h, the deterministic
- * merge of K window profilers).
- */
-class ProfileSource
-{
-  public:
-    virtual ~ProfileSource() = default;
-
-    /** Profile of one load site (nullptr if the site never executed). */
-    virtual const SiteProfile *site(std::uint32_t pc) const = 0;
-
-    /** All profiled load sites (deterministic order: ascending pc). */
-    virtual std::vector<const SiteProfile *> sites() const = 0;
-
-    /** Dynamic execution count of any static instruction. */
-    virtual std::uint64_t execCount(std::uint32_t pc) const = 0;
-
-    /** Value locality of a load site in percent (§5.6). */
-    virtual double valueLocalityPercent(std::uint32_t pc) const = 0;
-
-    /** The arena owning a candidate tree's representative nodes. */
-    virtual const DepTracker &treeArena(const CandidateTree &tree) const = 0;
-};
-
-/**
  * Machine observer implementing the profiling pass. Attach to a classic
  * Machine, run the program, then hand the result to the amnesic
  * compiler.
  */
-class Profiler : public MachineObserver, public ProfileSource
+class Profiler : public MachineObserver
 {
   public:
-    /**
-     * Producer/value state a window profiler starts from: the seed
-     * pass's DepTracker (register + memory producers at the window
-     * boundary) and each load site's previous value.
-     */
-    struct Seed
-    {
-        DepTracker tracker;
-        ValueLocalityProfiler::SeedMap lastValues;
-    };
-
     explicit Profiler(const ProfilerConfig &config = {});
-
-    /**
-     * Window-mode constructor (sharded profiling): starts from seeded
-     * producer/value state and remembers unboundedly many distinct tree
-     * shapes per site. The serial maxDistinctTrees cap is applied by
-     * the merge instead — a per-window cap could drop occurrences of a
-     * shape whose *global* first occurrence is within the cap (see
-     * src/profile/shard.cc).
-     */
-    Profiler(const ProfilerConfig &config, Seed &&seed);
 
     void onExec(const ExecutionEngine &m, std::uint32_t pc,
                 const Instruction &instr) override;
@@ -177,47 +124,30 @@ class Profiler : public MachineObserver, public ProfileSource
                  std::uint64_t value, MemLevel serviced) override;
 
     /** Profile of one load site (nullptr if the site never executed). */
-    const SiteProfile *site(std::uint32_t pc) const override;
+    const SiteProfile *site(std::uint32_t pc) const;
 
     /** All profiled load sites (deterministic order: ascending pc). */
-    std::vector<const SiteProfile *> sites() const override;
+    std::vector<const SiteProfile *> sites() const;
 
     /** Dynamic execution count of any static instruction. */
-    std::uint64_t execCount(std::uint32_t pc) const override;
+    std::uint64_t execCount(std::uint32_t pc) const;
 
-    double valueLocalityPercent(std::uint32_t pc) const override
+    /** Value locality of a load site in percent (§5.6). */
+    double valueLocalityPercent(std::uint32_t pc) const
     {
         return _values.localityPercent(pc);
     }
 
-    /** A serial profiler's trees all live in its own tracker. */
-    const DepTracker &treeArena(const CandidateTree &tree) const override
-    {
-        (void)tree;
-        return _tracker;
-    }
+    /**
+     * Tree nodes visited by the per-load walks so far: the signature
+     * walk plus the live-operand walk, each capped at maxTreeNodes per
+     * dynamic load.
+     */
+    std::uint64_t walkNodes() const { return _walkNodes; }
 
     const ValueLocalityProfiler &valueLocality() const { return _values; }
+    /** The arena holding every candidate tree's representative. */
     const DepTracker &tracker() const { return _tracker; }
-
-    /** Per-site profiles indexed by pc (merge support); a site that
-     * never executed has count 0. */
-    const std::vector<SiteProfile> &siteTable() const { return _sites; }
-
-    /** Execution counts indexed by pc (merge support). */
-    const std::vector<std::uint64_t> &execCountTable() const
-    {
-        return _execCounts;
-    }
-
-    /**
-     * Tracker mirroring for one pre-execution callback — shared by the
-     * full profiler and the seed-only boundary pass (src/profile/shard.cc)
-     * so their producer state can never drift apart.
-     */
-    static void mirrorExec(DepTracker &tracker, const ProfilerConfig &config,
-                           const ExecutionEngine &m, std::uint32_t pc,
-                           const Instruction &instr);
 
   private:
     void analyzeTree(const ExecutionEngine &m, SiteProfile &site,
@@ -226,14 +156,12 @@ class Profiler : public MachineObserver, public ProfileSource
                           NodeId node, int depth_left, int &nodes_left);
 
     ProfilerConfig _config;
-    /** Distinct-shape cap per site: the config's value for a serial
-     * run, effectively unlimited in window mode (see the Seed ctor). */
-    std::size_t _maxDistinctTrees;
     DepTracker _tracker;
     ValueLocalityProfiler _values;
     /** Dense per-pc tables, sized to the program on first use. */
     std::vector<SiteProfile> _sites;
     std::vector<std::uint64_t> _execCounts;
+    std::uint64_t _walkNodes = 0;
 };
 
 }  // namespace amnesiac

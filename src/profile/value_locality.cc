@@ -6,10 +6,9 @@ void
 ValueLocalityProfiler::record(std::uint32_t pc, std::uint64_t value)
 {
     SiteState &site = _sites[pc];
-    if (site.primed && site.lastValue == value)
+    if (site.count > 0 && site.lastValue == value)
         ++site.repeats;
     site.lastValue = value;
-    site.primed = true;
     ++site.count;
 }
 
@@ -28,36 +27,6 @@ ValueLocalityProfiler::count(std::uint32_t pc) const
 {
     auto it = _sites.find(pc);
     return it == _sites.end() ? 0 : it->second.count;
-}
-
-void
-ValueLocalityProfiler::seedLast(std::uint32_t pc, std::uint64_t value)
-{
-    SiteState &site = _sites[pc];
-    site.lastValue = value;
-    site.primed = true;
-}
-
-ValueLocalityProfiler::SeedMap
-ValueLocalityProfiler::lastValues() const
-{
-    SeedMap seeds;
-    seeds.reserve(_sites.size());
-    for (const auto &[pc, site] : _sites)
-        if (site.primed)
-            seeds.emplace(pc, site.lastValue);
-    return seeds;
-}
-
-std::unordered_map<std::uint32_t, ValueLocalityProfiler::SiteCounts>
-ValueLocalityProfiler::counts() const
-{
-    std::unordered_map<std::uint32_t, SiteCounts> out;
-    out.reserve(_sites.size());
-    for (const auto &[pc, site] : _sites)
-        if (site.count > 0)
-            out.emplace(pc, SiteCounts{site.count, site.repeats});
-    return out;
 }
 
 }  // namespace amnesiac

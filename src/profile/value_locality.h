@@ -17,16 +17,6 @@ namespace amnesiac {
 class ValueLocalityProfiler
 {
   public:
-    /** Per-site "previous instance" values (window seeding). */
-    using SeedMap = std::unordered_map<std::uint32_t, std::uint64_t>;
-
-    /** Raw per-site counters (deterministic cross-window merging). */
-    struct SiteCounts
-    {
-        std::uint64_t count = 0;    ///< dynamic instances observed
-        std::uint64_t repeats = 0;  ///< instances equal to their predecessor
-    };
-
     /** Record one dynamic load. */
     void record(std::uint32_t pc, std::uint64_t value);
 
@@ -40,29 +30,12 @@ class ValueLocalityProfiler
     /** Dynamic instance count of a site. */
     std::uint64_t count(std::uint32_t pc) const;
 
-    /**
-     * Install a site's "previous instance" value without counting an
-     * instance. Sharded profiling seeds window k with window k-1's last
-     * values so the comparison that crosses the boundary is still
-     * observed: every instance except the global first then contributes
-     * exactly one comparison, same as in a serial run.
-     */
-    void seedLast(std::uint32_t pc, std::uint64_t value);
-
-    /** Last value observed (or seeded) at every site. */
-    SeedMap lastValues() const;
-
-    /** Raw counters for every site (merge support). */
-    std::unordered_map<std::uint32_t, SiteCounts> counts() const;
-
   private:
     struct SiteState
     {
         std::uint64_t lastValue = 0;
         std::uint64_t count = 0;
         std::uint64_t repeats = 0;
-        /** lastValue is comparable (set by a real instance or a seed). */
-        bool primed = false;
     };
 
     std::unordered_map<std::uint32_t, SiteState> _sites;

@@ -222,10 +222,10 @@ ArtifactCache::key(const Program &program, const EnergyConfig &e,
                    const HierarchyConfig &h, const CompilerConfig &c)
 {
     // Canonical string over every compile input that can change the
-    // emitted bytes. `prune` and `profileJobs` are deliberately absent
-    // (conservative-only / scheduling-only contracts: identical output
-    // either way, machine-checked); so is everything downstream of the
-    // compiler (amnesic runtime, timing backend, experiment seed).
+    // emitted bytes. `prune` is deliberately absent (conservative-only
+    // contract: identical output either way, machine-checked); so is
+    // everything downstream of the compiler (amnesic runtime, timing
+    // backend, experiment seed).
     std::string s;
     s.reserve(1024);
     char buf[64];

@@ -10,11 +10,9 @@
  * that can change the compiled bytes: the serialized input program,
  * the energy and hierarchy configuration, the content-affecting
  * compiler fields, the `.amnb` format version, and a cache-format salt.
- * Scheduling knobs (`profileJobs`) and the conservative-only pruner
- * flag are deliberately excluded — sharded and serial, pruned and
- * unpruned compiles emit byte-identical binaries (machine-checked by
- * tests/profile_shard_test.cc and the perf-smoke harness), so they
- * rightly share an entry.
+ * The conservative-only pruner flag is deliberately excluded — pruned
+ * and unpruned compiles emit byte-identical binaries (machine-checked
+ * by the perf-smoke harness), so they rightly share an entry.
  *
  * Entry format (`<key>.amnbc`, little-endian, versioned):
  *   magic "AMNC" | u32 version | u64 key | u64 amnbLen | amnb bytes
@@ -60,8 +58,7 @@ class ArtifactCache
      * Look up a compiled artifact. Returns nullopt on miss or on any
      * validation failure (corruption, version skew, key mismatch).
      * A hit carries the stored binary, slices, and selection stats;
-     * the wall-clock fields are zero (no work was done) and
-     * profileShards is 1.
+     * the wall-clock fields are zero (no work was done).
      */
     std::optional<CompileResult> load(std::uint64_t key) const;
 

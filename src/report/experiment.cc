@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
+#include <optional>
 
 #include "analysis/analyzer.h"
 #include "obs/span.h"
@@ -194,48 +195,69 @@ ExperimentRunner::prepare(BenchmarkResult &result,
     bool need_normal = !std::all_of(policies.begin(), policies.end(),
                                     needsOracleSet);
 
-    CompilerConfig compiler_config = _config.compiler;
-    compiler_config.runLimit = _config.runLimit;
+    // The slice sets the policies need, each with the field it fills.
+    std::vector<CompilerConfig> configs;
+    std::vector<CompileResult *> outputs;
+    auto add_set = [&](bool oracle, CompileResult &output) {
+        CompilerConfig config = _config.compiler;
+        config.runLimit = _config.runLimit;
+        config.oracleSet = oracle;
+        configs.push_back(config);
+        outputs.push_back(&output);
+    };
+    if (need_normal)
+        add_set(false, result.compiled);
+    if (need_oracle)
+        add_set(true, result.oracleCompiled);
 
     // The artifact cache is opt-in (explicit dir or environment) and
     // content-free: a hit replays the byte-identical binary + stats a
-    // cold compile would produce, so only the wall-clock changes.
+    // cold compile would produce, so only the wall-clock changes. Each
+    // set caches under its own key; the sets that miss compile together
+    // in one compileSets call, sharing its profile and dry run.
     const std::string cache_dir =
         _config.noCache ? std::string() : resolveCacheDir(_config.cacheDir);
-    auto compile_one = [this, &workload, cache_dir](
-                           CompilerConfig cfg, CompileResult &out,
-                           unsigned &cache_hits, unsigned &cache_misses) {
-        if (!cache_dir.empty()) {
-            ArtifactCache cache(cache_dir);
-            std::uint64_t key = ArtifactCache::key(
-                workload.program, _config.energy, _config.hierarchy, cfg);
-            if (std::optional<CompileResult> hit = cache.load(key)) {
-                out = std::move(*hit);
-                ++cache_hits;
-                return;
+    auto compile_sets = [this, &workload, &result, &configs, &outputs,
+                         &cache_dir]() {
+        WallClock::time_point start = WallClock::now();
+        std::optional<ArtifactCache> cache;
+        if (!cache_dir.empty())
+            cache.emplace(cache_dir);
+        std::vector<CompilerConfig> missed;
+        std::vector<std::size_t> missed_at;
+        std::vector<std::uint64_t> keys(configs.size());
+        for (std::size_t k = 0; k < configs.size(); ++k) {
+            if (cache) {
+                keys[k] = ArtifactCache::key(workload.program,
+                                             _config.energy,
+                                             _config.hierarchy, configs[k]);
+                if (std::optional<CompileResult> hit = cache->load(keys[k])) {
+                    *outputs[k] = std::move(*hit);
+                    ++result.manifest.cacheHits;
+                    continue;
+                }
+                ++result.manifest.cacheMisses;
             }
-            ++cache_misses;
-            AmnesicCompiler compiler(energyModel(), _config.hierarchy,
-                                     cfg);
-            out = compiler.compile(workload.program);
-            cache.store(key, out);
-            return;
+            missed.push_back(configs[k]);
+            missed_at.push_back(k);
         }
-        AmnesicCompiler compiler(energyModel(), _config.hierarchy, cfg);
-        out = compiler.compile(workload.program);
+        if (!missed.empty()) {
+            AmnesicCompiler compiler(energyModel(), _config.hierarchy);
+            std::vector<CompileResult> compiled =
+                compiler.compileSets(workload.program, missed);
+            for (std::size_t m = 0; m < missed.size(); ++m) {
+                const std::size_t k = missed_at[m];
+                if (cache)
+                    cache->store(keys[k], compiled[m]);
+                *outputs[k] = std::move(compiled[m]);
+            }
+        }
+        result.manifest.phases.compileSec = secondsSince(start);
     };
 
-    // Three independent jobs: the classic reference run and the two
-    // compiles (each compile internally replays the program to profile
-    // and dry-run-validate it). Their outputs land in disjoint fields —
-    // including the per-task wall-clocks and cache-hit flags (summed
-    // only after the barrier).
-    double normal_compile_sec = 0.0;
-    double oracle_compile_sec = 0.0;
-    unsigned normal_cache_hits = 0;
-    unsigned oracle_cache_hits = 0;
-    unsigned normal_cache_misses = 0;
-    unsigned oracle_cache_misses = 0;
+    // Two independent jobs: the classic reference run and the compile
+    // (which replays the program to profile and dry-run-validate it).
+    // Their outputs land in disjoint fields of `result`.
     std::vector<std::function<void()>> tasks;
     tasks.push_back([this, &result, &workload] {
         ScopedSpan span("classic", workload.name);
@@ -244,47 +266,20 @@ ExperimentRunner::prepare(BenchmarkResult &result,
         result.manifest.phases.classicSec = secondsSince(start);
         span.counter("instrs", result.classic.dynInstrs);
     });
-    if (need_normal)
-        tasks.push_back([&result, compiler_config, &compile_one,
-                         &normal_compile_sec, &normal_cache_hits,
-                         &normal_cache_misses]() {
-            WallClock::time_point start = WallClock::now();
-            CompilerConfig cfg = compiler_config;
-            cfg.oracleSet = false;
-            compile_one(cfg, result.compiled, normal_cache_hits,
-                        normal_cache_misses);
-            normal_compile_sec = secondsSince(start);
-        });
-    if (need_oracle)
-        tasks.push_back([&result, compiler_config, &compile_one,
-                         &oracle_compile_sec, &oracle_cache_hits,
-                         &oracle_cache_misses]() {
-            WallClock::time_point start = WallClock::now();
-            CompilerConfig cfg = compiler_config;
-            cfg.oracleSet = true;
-            compile_one(cfg, result.oracleCompiled, oracle_cache_hits,
-                        oracle_cache_misses);
-            oracle_compile_sec = secondsSince(start);
-        });
+    if (!configs.empty())
+        tasks.push_back(compile_sets);
     parallelFor(pool, tasks.size(),
                 [&tasks](std::size_t i) { tasks[i](); });
-    result.manifest.phases.compileSec =
-        normal_compile_sec + oracle_compile_sec;
     result.manifest.phases.analysisSec =
         result.compiled.analysisSec + result.oracleCompiled.analysisSec;
     result.manifest.phases.profileSec =
         result.compiled.profileSec + result.oracleCompiled.profileSec;
-    result.manifest.profileShards =
-        std::max(result.compiled.profileShards,
-                 result.oracleCompiled.profileShards);
-    result.manifest.cacheHits = normal_cache_hits + oracle_cache_hits;
-    result.manifest.cacheMisses = normal_cache_misses + oracle_cache_misses;
 
-    // Per-pass breakdown of compileSec: the two compiles' gap-free lap
-    // tables, summed by pass name in first-appearance order. A cache
-    // hit contributes nothing (its passTimes are empty — no passes
-    // ran), so the table keeps summing to compileSec within timer
-    // noise either way.
+    // Per-pass breakdown of compileSec: the two slice sets' gap-free
+    // lap tables (the shared passes sit in the first one), summed by
+    // pass name in first-appearance order. A cache hit contributes
+    // nothing (its passTimes are empty — no passes ran), so the table
+    // keeps summing to compileSec within timer noise either way.
     auto merge_passes = [&result](const std::vector<PassTime> &laps) {
         for (const PassTime &lap : laps) {
             auto it = std::find_if(result.manifest.passes.begin(),

@@ -206,8 +206,6 @@ fillMetrics(MetricsRegistry &metrics,
         metrics.counterAdd("amnesiac_candidates_pruned_total{workload=\"" +
                                w + "\"}",
                            static_cast<double>(m.prunedCandidates));
-        metrics.gaugeSet("amnesiac_profile_shards{workload=\"" + w + "\"}",
-                         m.profileShards);
         metrics.counterAdd("amnesiac_cache_hits_total{workload=\"" + w +
                                "\"}",
                            static_cast<double>(m.cacheHits));

@@ -25,22 +25,6 @@ ExecutionEngine::ExecutionEngine(const Program &program,
 void
 ExecutionEngine::run(std::uint64_t max_instrs)
 {
-    _bounded = false;
-    dispatchRun(max_instrs);
-}
-
-std::uint64_t
-ExecutionEngine::runBounded(std::uint64_t max_instrs)
-{
-    _bounded = true;
-    dispatchRun(max_instrs);
-    _bounded = false;
-    return _loop_executed;
-}
-
-void
-ExecutionEngine::dispatchRun(std::uint64_t max_instrs)
-{
     // Resolve the attached extension points and the timing backend
     // once: each configuration gets a loop with the unused callback
     // sites compiled out.
@@ -78,14 +62,10 @@ ExecutionEngine::runLoop(std::uint64_t max_instrs)
         // Same budget as the historical `if (++executed > max_instrs)`
         // pre-step check: max_instrs dispatches are allowed (including
         // the halting one), the fatal fires before dispatch max+1.
-        // Under runBounded the limit is a normal stop, not a runaway.
-        if (executed >= max_instrs) {
-            if (_bounded)
-                break;
+        if (executed >= max_instrs)
             AMNESIAC_FATAL("program '" + _program.name +
                            "' exceeded the instruction limit — "
                            "likely an infinite loop");
-        }
         ++executed;
         AMNESIAC_ASSERT(_pc < code_size, "pc out of range");
         if (HasFault && _fault_hook)
@@ -232,7 +212,6 @@ ExecutionEngine::runLoop(std::uint64_t max_instrs)
             _pipe->onRetire(_stats, d, pc, next_pc);
         _pc = next_pc;
     }
-    _loop_executed = executed;
 }
 
 bool

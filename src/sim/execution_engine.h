@@ -35,27 +35,6 @@ namespace amnesiac {
 class ExecutionEngine;
 
 /**
- * Everything needed to resume execution at an arbitrary point of the
- * dynamic instruction stream: architectural state (registers, flat
- * memory, pc) plus cache placement. Cycle/energy statistics and
- * branch-predictor state are deliberately *not* captured — snapshot
- * consumers (sharded profiling, src/profile/shard.h) replay windows for
- * their values and placement-dependent residence levels only, and
- * discard the replay's SimStats.
- *
- * A snapshot is only meaningful on an engine running the same program
- * it was taken from.
- */
-struct EngineSnapshot
-{
-    std::array<std::uint64_t, kNumRegs> regs{};
-    std::vector<std::uint64_t> memory;
-    std::uint32_t pc = 0;
-    bool halted = false;
-    MemoryHierarchy hierarchy;
-};
-
-/**
  * Passive instrumentation hook (the role Pin plays in the paper's
  * toolchain, §4). Callbacks may inspect the engine but never mutate
  * architectural state.
@@ -168,43 +147,8 @@ class ExecutionEngine
      */
     void run(std::uint64_t max_instrs = 1ull << 32);
 
-    /**
-     * Run until HALT or until exactly `max_instrs` instruction
-     * dispatches have executed, whichever comes first — the instruction
-     * budget is a normal stopping condition here, not a runaway guard.
-     * Same dispatch loop and observable per-instruction behavior as
-     * run(); resumable (a subsequent run/runBounded continues from the
-     * current pc).
-     *
-     * @return the number of dispatches actually executed (< max_instrs
-     *         only if the program halted first)
-     */
-    std::uint64_t runBounded(std::uint64_t max_instrs);
-
     /** Execute a single instruction; false once halted. */
     bool step();
-
-    /** Capture resumable execution state (see EngineSnapshot). */
-    EngineSnapshot snapshot() const
-    {
-        return EngineSnapshot{_regs, _memory, _pc, _halted, _hierarchy};
-    }
-
-    /**
-     * Restore state captured by snapshot() on an engine running the
-     * same program. Stats/cycles are left untouched (snapshots do not
-     * carry them).
-     */
-    void restore(const EngineSnapshot &snap)
-    {
-        AMNESIAC_ASSERT(snap.memory.size() == _memory.size(),
-                        "snapshot from a different program");
-        _regs = snap.regs;
-        _memory = snap.memory;
-        _pc = snap.pc;
-        _halted = snap.halted;
-        _hierarchy = snap.hierarchy;
-    }
 
     bool halted() const { return _halted; }
     std::uint32_t pc() const { return _pc; }
@@ -293,9 +237,6 @@ class ExecutionEngine
   private:
     void execOne(const Instruction &instr);
 
-    /** Specialize + enter the predecoded loop (shared by run paths). */
-    void dispatchRun(std::uint64_t max_instrs);
-
     /**
      * The predecoded run loop, specialized at run() entry for the
      * extension points actually attached (hooks/observer/fault hook)
@@ -325,12 +266,6 @@ class ExecutionEngine
     ExecutionObserver *_observer = nullptr;
     ExecutionHooks *_hooks = nullptr;
     EngineFaultHook *_fault_hook = nullptr;
-    /** Reaching the instruction limit stops cleanly instead of being a
-     * fatal runaway (runBounded). Checked only on the rare limit-hit
-     * branch, so the hot loop is unaffected. */
-    bool _bounded = false;
-    /** Dispatches executed by the most recent run loop entry. */
-    std::uint64_t _loop_executed = 0;
 };
 
 inline std::uint64_t

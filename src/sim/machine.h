@@ -54,22 +54,6 @@ class Machine
     /** Execute a single instruction; false once halted. */
     bool step() { return _engine.step(); }
 
-    /**
-     * Run until HALT or until exactly `max_instrs` dispatches executed
-     * (a normal stopping condition, not a runaway guard); resumable.
-     * @return dispatches actually executed
-     */
-    std::uint64_t runBounded(std::uint64_t max_instrs)
-    {
-        return _engine.runBounded(max_instrs);
-    }
-
-    /** Capture resumable execution state (see EngineSnapshot). */
-    EngineSnapshot snapshot() const { return _engine.snapshot(); }
-
-    /** Restore state captured on a machine running the same program. */
-    void restore(const EngineSnapshot &snap) { _engine.restore(snap); }
-
     bool halted() const { return _engine.halted(); }
     std::uint32_t pc() const { return _engine.pc(); }
 

@@ -197,10 +197,9 @@ TEST(ArtifactCache, EveryDigestInputChangesTheKey)
     EXPECT_NE(base, with([](CompilerConfig &c) { c.oracleSet = true; }));
     EXPECT_NE(base, with([](CompilerConfig &c) { c.runLimit = 1 << 20; }));
 
-    // Scheduling and conservative-only knobs deliberately share the
-    // key: their outputs are byte-identical by machine-checked
-    // contract, so separate entries would only waste compiles.
-    EXPECT_EQ(base, with([](CompilerConfig &c) { c.profileJobs = 7; }));
+    // The conservative-only pruner deliberately shares the key: its
+    // output is byte-identical by machine-checked contract, so
+    // separate entries would only waste compiles.
     EXPECT_EQ(base, with([](CompilerConfig &c) { c.prune = false; }));
 }
 

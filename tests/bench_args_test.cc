@@ -43,7 +43,6 @@ TEST(BenchArgs, RejectsNonNumericValues)
         {"--jobs=4x"},
         {"--jobs", ""},
         {"--jobs", "-1"},
-        {"--profile-jobs", "two"},
         {"--seed", "1e3"},
         {"--scale", "x"},
         {"--scale=1.5x"},

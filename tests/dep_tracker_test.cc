@@ -165,6 +165,18 @@ TEST(DepTracker, SequenceNumbersAreMonotonic)
     EXPECT_EQ(t.productions(), 3u);
 }
 
+TEST(DepTracker, OpaqueProductionsKeepTheSequence)
+{
+    // A pruned (opaque) production takes the seq a real node would, so
+    // later productions are numbered the same with and without masks.
+    DepTracker t;
+    t.onAlu(1, alu(Opcode::Li, 1, 0, 0, 1), 1);
+    t.onOpaque(2);
+    t.onAlu(3, alu(Opcode::Add, 3, 1, 1), 2);
+    EXPECT_EQ(t.node(t.regProducer(3)).seq, 3u);
+    EXPECT_EQ(t.productions(), 2u);
+}
+
 TEST(DepTracker, ArenaRecyclesDeadSubgraphs)
 {
     DepTracker t;
@@ -196,10 +208,8 @@ TEST(DepTracker, PinKeepsSubgraphAlive)
     EXPECT_EQ(t.node(t.node(pinned).in1).pc, 1u);
 }
 
-// --- shard-arena coverage: the windowed profiler (profile/shard.h)
-// seeds each window with a *copy* of the tracker at the window
-// boundary, so copied arenas must preserve ids, pins, signatures, and
-// the global sequence numbering exactly. ---
+// --- copied arenas: a copy of a tracker must preserve ids, pins,
+// signatures, and the global sequence numbering exactly. ---
 
 TEST(DepTracker, CopiedArenaPreservesIdsPinsAndSignatures)
 {
@@ -211,7 +221,7 @@ TEST(DepTracker, CopiedArenaPreservesIdsPinsAndSignatures)
     t.pin(root);
     std::uint64_t sig = treeSignature(t, root);
 
-    DepTracker copy = t;  // the shard seed: a plain copy
+    DepTracker copy = t;
     // NodeIds are arena indexes, so they stay valid verbatim in the
     // copy, and structural signatures agree arena-for-arena.
     EXPECT_EQ(copy.regProducer(3), root);
@@ -237,18 +247,16 @@ TEST(DepTracker, CopiedArenaContinuesSequenceNumbers)
     t.onAlu(2, alu(Opcode::Li, 2, 0, 0, 2), 2);
     std::uint64_t boundary_seq = t.node(t.regProducer(2)).seq;
 
-    // Pinning (what the window profiler does to representatives) must
-    // not advance the dynamic sequence; otherwise a window's replay
-    // would interleave differently from the serial pass and the
-    // materialized slice order would diverge.
+    // Pinning (what the profiler does to representatives) must not
+    // advance the dynamic sequence: the materialized slice order
+    // follows it.
     t.pin(t.regProducer(1));
     DepTracker copy = t;
     copy.onAlu(3, alu(Opcode::Add, 3, 1, 2), 3);
     EXPECT_EQ(copy.node(copy.regProducer(3)).seq, boundary_seq + 1);
 
     // The original continues on the same numbering: the two arenas
-    // assign the *same* seq to the same dynamic production, which is
-    // what makes per-window slices merge into the serial order.
+    // assign the *same* seq to the same dynamic production.
     t.onAlu(3, alu(Opcode::Add, 3, 1, 2), 3);
     EXPECT_EQ(t.node(t.regProducer(3)).seq,
               copy.node(copy.regProducer(3)).seq);

@@ -11,7 +11,9 @@
  *      BenchmarkResult stats with jobs=1 and jobs=4 — the determinism
  *      guarantee of the (workload × policy) fan-out. The same check
  *      covers the observability artifacts: site tables, trace buffers,
- *      and the manifest's deterministic prefix.
+ *      and the manifest's deterministic prefix;
+ *  (c) the manifest's compile time is one wall-clock span inside the
+ *      run, and its per-pass table accounts for all of it.
  */
 
 #include <gtest/gtest.h>
@@ -269,6 +271,24 @@ TEST(ExperimentTest, RepeatedParallelRunsAreStable)
     BenchmarkResult second = runner.run(workload);
     expectResultsIdentical(first, second);
     EXPECT_FALSE(first.policies.front().trace.empty());
+}
+
+TEST(ExperimentTest, CompileTimeFitsInsideTheRun)
+{
+    // Both slice sets come from one compile call that runs beside the
+    // classic reference, so the compile wall-clock cannot exceed the
+    // run's; the gap-free lap tables of the two sets add up to it.
+    ExperimentConfig config;
+    config.jobs = 4;
+    config.noCache = true;
+    BenchmarkResult result = ExperimentRunner(config).run(makeWorkload("mcf"));
+    const PhaseTimes &phases = result.manifest.phases;
+    EXPECT_GT(phases.compileSec, 0.0);
+    EXPECT_LE(phases.compileSec, phases.totalSec);
+    double passes_sec = 0.0;
+    for (const PassTime &pass : result.manifest.passes)
+        passes_sec += pass.sec;
+    EXPECT_NEAR(passes_sec, phases.compileSec, 0.01 * phases.compileSec);
 }
 
 }  // namespace

@@ -216,5 +216,31 @@ TEST(Profiler, ValueLocalityIsRecorded)
                      100.0);
 }
 
+TEST(Profiler, CountsTreeWalkNodes)
+{
+    // v = x + x stored, then loaded twice: once with x clobbered, once
+    // with x re-produced.
+    ProgramBuilder b("walk");
+    std::uint64_t a = b.allocWords(1);
+    b.li(1, a);
+    b.li(2, 5);
+    b.alu(Opcode::Add, 3, 2, 2);
+    b.st(1, 0, 3);
+    b.li(2, 999);
+    b.ld(4, 1);
+    b.li(2, 5);
+    b.ld(5, 1);
+    b.halt();
+    Program p = b.finish();
+    Profiler profiler;
+    runProfiled(p, profiler);
+    // First load: neither operand of the Add is live, so each walk
+    // visits the Add and then the `li 5` producer once per operand —
+    // 3 nodes for the signature, 3 for the live statistics. Second
+    // load: both operands are live cuts, so each walk visits the Add
+    // alone — 1 + 1.
+    EXPECT_EQ(profiler.walkNodes(), 8u);
+}
+
 }  // namespace
 }  // namespace amnesiac

@@ -9,9 +9,6 @@
  *                          (default: all)
  *   --jobs <n>             experiment-pipeline worker threads
  *                          (0 = hardware_concurrency, 1 = serial)
- *   --profile-jobs <n>     windows for the dependence-profiling pass
- *                          (1 = serial, 0 = hardware concurrency,
- *                          K > 1 fixed; output is byte-identical)
  *   --cache-dir <path>     compiled-artifact cache directory (default:
  *                          $AMNESIAC_CACHE_DIR if set, else disabled)
  *   --no-cache             disable the artifact cache
@@ -73,7 +70,7 @@ usage(const char *argv0)
 {
     std::fprintf(stderr,
                  "usage: %s [--list] [--policy <p>] [--seed <n>] "
-                 "[--jobs <n>] [--profile-jobs <n>] "
+                 "[--jobs <n>] "
                  "[--cache-dir <path>] [--no-cache] [--scale <x>] "
                  "[--timing <scalar|pipelined>] "
                  "[--predictor <nottaken|bimodal|gshare>] [--hist <n>] "
@@ -127,9 +124,6 @@ main(int argc, char **argv)
             args.seed = std::strtoull(next().c_str(), nullptr, 10);
         } else if (arg == "--jobs") {
             config.jobs = static_cast<unsigned>(
-                std::strtoul(next().c_str(), nullptr, 10));
-        } else if (arg == "--profile-jobs") {
-            config.compiler.profileJobs = static_cast<unsigned>(
                 std::strtoul(next().c_str(), nullptr, 10));
         } else if (arg == "--cache-dir") {
             config.cacheDir = next();

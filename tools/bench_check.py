@@ -9,8 +9,9 @@ against the committed baselines.
 The benchmark kind is read from the files' "bench" field (the two files
 must agree). Two classes of check:
 
-  * Deterministic fields (instruction counts, cycle counts, pruned
-    candidates, byte-identity, the timing backend's additive contract)
+  * Deterministic fields (instruction counts, cycle counts, profiler
+    arena and walk counters, pruned candidates, byte-identity, the
+    timing backend's additive contract)
     are compared exactly: these are simulator outputs, independent of
     the host, so any drift is a functional regression, not noise.
 
@@ -21,10 +22,12 @@ must agree). Two classes of check:
     span left enabled produces — is distinguishable from scheduling
     noise. Tighten the ratio when comparing runs from the same host.
 
-Workloads are matched by name and compared over the intersection (the
---quick benchmark set is a subset of the full registry the baselines
-were recorded with); disjoint sets are an error. Exit status: 0 clean,
-1 regression, 2 usage/input error.
+perf_interp files must be format version 3 (no sharded-profiling
+phase; a per-workload profiler walk counter). Workloads are matched by
+name and compared over the intersection (the --quick benchmark set is
+a subset of the full registry the baselines were recorded with);
+disjoint sets are an error. Exit status: 0 clean, 1 regression, 2
+usage/input error.
 """
 
 import argparse
@@ -72,9 +75,18 @@ def match_workloads(base, fresh):
     return [(n, base_by_name[n], fresh_by_name[n]) for n in common]
 
 
+INTERP_VERSION = 3
+
+
 def check_interp(base, fresh, ratio):
+    for which, data in (("baseline", base), ("fresh", fresh)):
+        if data.get("version") != INTERP_VERSION:
+            print(f"error: {which} perf_interp file is version "
+                  f"{data.get('version')!r}, expected {INTERP_VERSION} "
+                  "(regenerate it with bench/perf_interp)", file=sys.stderr)
+            sys.exit(2)
     for name, b, f in match_workloads(base, fresh):
-        for phase in ("classic", "amnesic", "profile", "profileSharded"):
+        for phase in ("classic", "amnesic", "profile"):
             check_exact(name, f"{phase}.instrs",
                         b[phase]["instrs"], f[phase]["instrs"])
             check_throughput(name, f"{phase}.nsPerInstr",
@@ -82,6 +94,7 @@ def check_interp(base, fresh, ratio):
                              ratio)
         check_exact(name, "productions", b["productions"], f["productions"])
         check_exact(name, "arenaNodes", b["arenaNodes"], f["arenaNodes"])
+        check_exact(name, "walkNodes", b["walkNodes"], f["walkNodes"])
         check_exact(name, "compile.byteIdentical", True,
                     f["compile"]["byteIdentical"])
         check_exact(name, "compile.prunedCandidates",
