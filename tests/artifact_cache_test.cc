@@ -203,6 +203,15 @@ TEST(ArtifactCache, EveryDigestInputChangesTheKey)
     EXPECT_EQ(base, with([](CompilerConfig &c) { c.prune = false; }));
 }
 
+TEST(ArtifactCache, KeyOfDefaultConfigIsPinned)
+{
+    // Existing cache directories stay valid only while the key's
+    // canonical string keeps its exact bytes.
+    EXPECT_EQ(ArtifactCache::key(makeWorkload("mcf", 1).program, {}, {},
+                                 {}),
+              0x85ecb8b6b332edaeull);
+}
+
 TEST(ArtifactCache, CorruptEntriesAreSilentMisses)
 {
     Workload workload = makeWorkload("stream-recompute");
