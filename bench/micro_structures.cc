@@ -2,9 +2,8 @@
  * @file
  * google-benchmark micro-benchmarks of the simulator's hot structures:
  * cache accesses, hierarchy walks, SFile/Hist operations, interpreter
- * throughput, dependence-tracker productions, and dependence-tree
- * signatures. These gate the wall-clock cost of the experiment
- * harnesses.
+ * throughput and dependence-tracker productions. These gate the
+ * wall-clock cost of the experiment harnesses.
  */
 
 #include <benchmark/benchmark.h>
@@ -180,26 +179,6 @@ BM_DepTrackerProduce(benchmark::State &state)
     state.counters["arenaNodes"] = static_cast<double>(tracker.arenaSize());
 }
 BENCHMARK(BM_DepTrackerProduce);
-
-void
-BM_TreeSignature(benchmark::State &state)
-{
-    DepTracker tracker;
-    Instruction li;
-    li.op = Opcode::Li;
-    li.rd = 1;
-    tracker.onAlu(0, li, 1);
-    Instruction chain;
-    chain.op = Opcode::Add;
-    chain.rd = 1;
-    chain.rs1 = 1;
-    chain.rs2 = 1;
-    for (std::uint32_t pc = 1; pc <= 64; ++pc)
-        tracker.onAlu(pc, chain, pc);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(treeSignature(tracker, tracker.regProducer(1)));
-}
-BENCHMARK(BM_TreeSignature);
 
 }  // namespace
 }  // namespace amnesiac

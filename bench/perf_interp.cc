@@ -37,6 +37,7 @@
 #include "profile/profiler.h"
 #include "report/experiment.h"
 #include "sim/machine.h"
+#include "util/json.h"
 #include "workloads/registry.h"
 
 namespace {
@@ -105,17 +106,25 @@ struct WorkloadResult
     std::uint64_t prunedCandidates = 0;
 };
 
-void
-appendPhaseJson(std::string &out, const char *key, const PhaseResult &p)
+/** `%.*f`: the BENCH files keep fixed decimals per field. */
+std::string
+fixed(double value, int decimals)
 {
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  "\"%s\":{\"instrs\":%" PRIu64
-                  ",\"bestSec\":%.9f,\"nsPerInstr\":%.4f,"
-                  "\"instrsPerSec\":%.1f}",
-                  key, p.instrs, p.bestSec, p.nsPerInstr(),
-                  p.instrsPerSec());
-    out += buf;
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%.*f", decimals, value);
+    return buf;
+}
+
+void
+appendPhaseJson(amnesiac::json::Writer &w, const char *key,
+                const PhaseResult &p)
+{
+    w.key(key).beginObject();
+    w.key("instrs").integer(p.instrs);
+    w.key("bestSec").raw(fixed(p.bestSec, 9));
+    w.key("nsPerInstr").raw(fixed(p.nsPerInstr(), 4));
+    w.key("instrsPerSec").raw(fixed(p.instrsPerSec(), 1));
+    w.endObject();
 }
 
 }  // namespace
@@ -279,44 +288,46 @@ main(int argc, char **argv)
     }
 
     // --- render BENCH_interp.json ---
-    std::string json = "{\n";
-    {
-        char buf[128];
-        std::snprintf(buf, sizeof(buf),
-                      "  \"bench\": \"perf_interp\",\n  \"version\": 3,\n"
-                      "  \"quick\": %s,\n  \"repeats\": %d,\n"
-                      "  \"policy\": \"%s\",\n",
-                      quick ? "true" : "false", repeats,
-                      std::string(amnesiac::policyName(policy)).c_str());
-        json += buf;
-    }
-    json += "  \"workloads\": [\n";
+    // One top-level field per line as `"key": value`; each workload is
+    // one compact object on a line of its own.
+    std::string json;
+    amnesiac::json::Writer w(json);
+    auto field = [&](const char *name) -> amnesiac::json::Writer & {
+        w.separate();
+        json += "\n  ";
+        w.key(name);
+        json += ' ';
+        return w;
+    };
+    w.beginObject();
+    field("bench").string("perf_interp");
+    field("version").integer(3);
+    field("quick").boolean(quick);
+    field("repeats").integer(static_cast<std::uint64_t>(repeats));
+    field("policy").string(amnesiac::policyName(policy));
+    field("workloads").beginArray();
     PhaseResult classic_total, amnesic_total, profile_total;
     double compile_pruned_total = 0.0;
     double compile_unpruned_total = 0.0;
     std::uint64_t pruned_candidates_total = 0;
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        const WorkloadResult &r = results[i];
-        json += "    {\"name\":\"" + r.name + "\",";
-        appendPhaseJson(json, "classic", r.classic);
-        json += ",";
-        appendPhaseJson(json, "amnesic", r.amnesic);
-        json += ",";
-        appendPhaseJson(json, "profile", r.profile);
-        char buf[320];
-        std::snprintf(buf, sizeof(buf),
-                      ",\"productions\":%" PRIu64
-                      ",\"arenaNodes\":%" PRIu64 ",\"walkNodes\":%" PRIu64
-                      ",\"compile\":{\"prunedSec\":%.9f,"
-                      "\"unprunedSec\":%.9f,"
-                      "\"prunedCandidates\":%" PRIu64
-                      ",\"byteIdentical\":true},",
-                      r.productions, r.arenaNodes, r.walkNodes,
-                      r.compilePrunedSec, r.compileUnprunedSec,
-                      r.prunedCandidates);
-        json += buf;
-        json += "\"manifest\":" + r.manifestJson + "}";
-        json += (i + 1 < results.size()) ? ",\n" : "\n";
+    for (const WorkloadResult &r : results) {
+        w.separate();
+        json += "\n    ";
+        w.beginObject().key("name").string(r.name);
+        appendPhaseJson(w, "classic", r.classic);
+        appendPhaseJson(w, "amnesic", r.amnesic);
+        appendPhaseJson(w, "profile", r.profile);
+        w.key("productions").integer(r.productions);
+        w.key("arenaNodes").integer(r.arenaNodes);
+        w.key("walkNodes").integer(r.walkNodes);
+        w.key("compile").beginObject();
+        w.key("prunedSec").raw(fixed(r.compilePrunedSec, 9));
+        w.key("unprunedSec").raw(fixed(r.compileUnprunedSec, 9));
+        w.key("prunedCandidates").integer(r.prunedCandidates);
+        w.key("byteIdentical").boolean(true);
+        w.endObject();
+        w.key("manifest").raw(r.manifestJson);
+        w.endObject();
 
         classic_total.instrs += r.classic.instrs;
         classic_total.bestSec += r.classic.bestSec;
@@ -328,23 +339,20 @@ main(int argc, char **argv)
         compile_unpruned_total += r.compileUnprunedSec;
         pruned_candidates_total += r.prunedCandidates;
     }
-    json += "  ],\n  \"totals\": {";
-    appendPhaseJson(json, "classic", classic_total);
-    json += ",";
-    appendPhaseJson(json, "amnesic", amnesic_total);
-    json += ",";
-    appendPhaseJson(json, "profile", profile_total);
-    {
-        char buf[224];
-        std::snprintf(buf, sizeof(buf),
-                      ",\"compile\":{\"prunedSec\":%.9f,"
-                      "\"unprunedSec\":%.9f,"
-                      "\"prunedCandidates\":%" PRIu64 "}",
-                      compile_pruned_total, compile_unpruned_total,
-                      pruned_candidates_total);
-        json += buf;
-    }
-    json += "}\n}\n";
+    json += "\n  ";
+    w.endArray();
+    field("totals").beginObject();
+    appendPhaseJson(w, "classic", classic_total);
+    appendPhaseJson(w, "amnesic", amnesic_total);
+    appendPhaseJson(w, "profile", profile_total);
+    w.key("compile").beginObject();
+    w.key("prunedSec").raw(fixed(compile_pruned_total, 9));
+    w.key("unprunedSec").raw(fixed(compile_unpruned_total, 9));
+    w.key("prunedCandidates").integer(pruned_candidates_total);
+    w.endObject().endObject();
+    json += '\n';
+    w.endObject();
+    json += '\n';
 
     std::ofstream out(out_path, std::ios::binary);
     out << json;

@@ -36,6 +36,7 @@
 
 #include "sim/machine.h"
 #include "timing/timing.h"
+#include "util/json.h"
 #include "workloads/registry.h"
 
 namespace {
@@ -118,19 +119,27 @@ timeBackend(const Workload &workload, const EnergyModel &energy,
     return r;
 }
 
+/** `%.*f`: the BENCH files keep fixed decimals per field. */
+std::string
+fixed(double value, int decimals)
+{
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%.*f", decimals, value);
+    return buf;
+}
+
 void
-appendBackendJson(std::string &out, const char *key,
+appendBackendJson(amnesiac::json::Writer &w, const char *key,
                   const BackendResult &r)
 {
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  "\"%s\":{\"instrs\":%" PRIu64 ",\"cycles\":%" PRIu64
-                  ",\"hazardCycles\":%" PRIu64
-                  ",\"bestSec\":%.9f,\"nsPerInstr\":%.4f,"
-                  "\"instrsPerSec\":%.1f}",
-                  key, r.instrs, r.cycles, r.hazardCycles, r.bestSec,
-                  r.nsPerInstr(), r.instrsPerSec());
-    out += buf;
+    w.key(key).beginObject();
+    w.key("instrs").integer(r.instrs);
+    w.key("cycles").integer(r.cycles);
+    w.key("hazardCycles").integer(r.hazardCycles);
+    w.key("bestSec").raw(fixed(r.bestSec, 9));
+    w.key("nsPerInstr").raw(fixed(r.nsPerInstr(), 4));
+    w.key("instrsPerSec").raw(fixed(r.instrsPerSec(), 1));
+    w.endObject();
 }
 
 }  // namespace
@@ -202,31 +211,33 @@ main(int argc, char **argv)
         results.push_back(std::move(r));
     }
 
-    std::string json = "{\n";
-    {
-        char buf[160];
-        std::snprintf(
-            buf, sizeof(buf),
-            "  \"bench\": \"perf_timing\",\n  \"version\": 1,\n"
-            "  \"quick\": %s,\n  \"repeats\": %d,\n"
-            "  \"predictor\": \"%s\",\n",
-            quick ? "true" : "false", repeats,
-            std::string(amnesiac::predictorKindName(predictor)).c_str());
-        json += buf;
-    }
-    json += "  \"workloads\": [\n";
+    // One top-level field per line as `"key": value`; each workload is
+    // one compact object on a line of its own.
+    std::string json;
+    amnesiac::json::Writer w(json);
+    auto field = [&](const char *name) -> amnesiac::json::Writer & {
+        w.separate();
+        json += "\n  ";
+        w.key(name);
+        json += ' ';
+        return w;
+    };
+    w.beginObject();
+    field("bench").string("perf_timing");
+    field("version").integer(1);
+    field("quick").boolean(quick);
+    field("repeats").integer(static_cast<std::uint64_t>(repeats));
+    field("predictor").string(amnesiac::predictorKindName(predictor));
+    field("workloads").beginArray();
     BackendResult scalar_total, pipelined_total;
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        const WorkloadResult &r = results[i];
-        json += "    {\"name\":\"" + r.name + "\",";
-        appendBackendJson(json, "scalar", r.scalar);
-        json += ",";
-        appendBackendJson(json, "pipelined", r.pipelined);
-        char buf[64];
-        std::snprintf(buf, sizeof(buf), ",\"cycleInflationPct\":%.4f}",
-                      r.cycleInflationPct());
-        json += buf;
-        json += (i + 1 < results.size()) ? ",\n" : "\n";
+    for (const WorkloadResult &r : results) {
+        w.separate();
+        json += "\n    ";
+        w.beginObject().key("name").string(r.name);
+        appendBackendJson(w, "scalar", r.scalar);
+        appendBackendJson(w, "pipelined", r.pipelined);
+        w.key("cycleInflationPct").raw(fixed(r.cycleInflationPct(), 4));
+        w.endObject();
 
         scalar_total.instrs += r.scalar.instrs;
         scalar_total.bestSec += r.scalar.bestSec;
@@ -236,24 +247,23 @@ main(int argc, char **argv)
         pipelined_total.cycles += r.pipelined.cycles;
         pipelined_total.hazardCycles += r.pipelined.hazardCycles;
     }
-    json += "  ],\n  \"totals\": {";
-    appendBackendJson(json, "scalar", scalar_total);
-    json += ",";
-    appendBackendJson(json, "pipelined", pipelined_total);
-    {
-        double inflation =
-            scalar_total.cycles == 0
-                ? 0.0
-                : 100.0 *
-                      static_cast<double>(pipelined_total.cycles -
-                                          scalar_total.cycles) /
-                      static_cast<double>(scalar_total.cycles);
-        char buf[64];
-        std::snprintf(buf, sizeof(buf), ",\"cycleInflationPct\":%.4f",
-                      inflation);
-        json += buf;
-    }
-    json += "}\n}\n";
+    json += "\n  ";
+    w.endArray();
+    const double inflation =
+        scalar_total.cycles == 0
+            ? 0.0
+            : 100.0 *
+                  static_cast<double>(pipelined_total.cycles -
+                                      scalar_total.cycles) /
+                  static_cast<double>(scalar_total.cycles);
+    field("totals").beginObject();
+    appendBackendJson(w, "scalar", scalar_total);
+    appendBackendJson(w, "pipelined", pipelined_total);
+    w.key("cycleInflationPct").raw(fixed(inflation, 4));
+    w.endObject();
+    json += '\n';
+    w.endObject();
+    json += '\n';
 
     std::ofstream out(out_path, std::ios::binary);
     out << json;
@@ -272,13 +282,7 @@ main(int argc, char **argv)
                 pipelined_total.nsPerInstr());
     std::printf("modeled cycle inflation: +%.3f%% (hazard cycles %" PRIu64
                 ")\n",
-                scalar_total.cycles == 0
-                    ? 0.0
-                    : 100.0 *
-                          static_cast<double>(pipelined_total.cycles -
-                                              scalar_total.cycles) /
-                          static_cast<double>(scalar_total.cycles),
-                pipelined_total.hazardCycles);
+                inflation, pipelined_total.hazardCycles);
     std::printf("wrote %s\n", out_path.c_str());
     return 0;
 }

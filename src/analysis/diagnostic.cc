@@ -1,8 +1,9 @@
 #include "analysis/diagnostic.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
+
+#include "util/json.h"
 
 namespace amnesiac {
 
@@ -110,35 +111,6 @@ AnalysisReport::renderText() const
            << " warning(s), " << count(Severity::Note) << " note(s)\n";
     return os.str();
 }
-
-namespace {
-
-/** Minimal JSON string escaping (quotes, backslash, control chars). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (char c : s) {
-        switch (c) {
-          case '"':  out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-}  // namespace
 
 const std::vector<DiagInfo> &
 diagnosticRegistry()
@@ -249,78 +221,76 @@ findDiagInfo(std::string_view id)
 std::string
 AnalysisReport::renderJson() const
 {
-    std::ostringstream os;
-    os << "{\"program\":\"" << jsonEscape(programName) << "\","
-       << "\"errors\":" << errorCount() << ","
-       << "\"warnings\":" << warningCount() << ","
-       << "\"notes\":" << count(Severity::Note) << ","
-       << "\"diagnostics\":[";
-    for (std::size_t i = 0; i < diagnostics.size(); ++i) {
-        const Diagnostic &d = diagnostics[i];
-        if (i)
-            os << ",";
-        os << "{\"id\":\"" << jsonEscape(d.id) << "\","
-           << "\"severity\":\"" << severityName(d.severity) << "\",";
+    std::string out;
+    json::Writer w(out);
+    w.beginObject();
+    w.key("program").string(programName);
+    w.key("errors").integer(errorCount());
+    w.key("warnings").integer(warningCount());
+    w.key("notes").integer(count(Severity::Note));
+    w.key("diagnostics").beginArray();
+    for (const Diagnostic &d : diagnostics) {
+        w.beginObject();
+        w.key("id").string(d.id);
+        w.key("severity").string(severityName(d.severity));
         if (d.pc)
-            os << "\"pc\":" << *d.pc << ",";
+            w.key("pc").integer(*d.pc);
         if (d.sliceId)
-            os << "\"slice\":" << *d.sliceId << ",";
-        os << "\"message\":\"" << jsonEscape(d.message) << "\","
-           << "\"notes\":[";
-        for (std::size_t k = 0; k < d.notes.size(); ++k) {
-            if (k)
-                os << ",";
-            os << "\"" << jsonEscape(d.notes[k]) << "\"";
-        }
-        os << "]}";
+            w.key("slice").integer(*d.sliceId);
+        w.key("message").string(d.message);
+        w.key("notes").beginArray();
+        for (const std::string &note : d.notes)
+            w.string(note);
+        w.endArray().endObject();
     }
-    os << "]}";
-    return os.str();
+    w.endArray().endObject();
+    return out;
 }
 
 std::string
 renderSarif(const std::vector<AnalysisReport> &reports)
 {
-    std::ostringstream os;
-    os << "{\"$schema\":"
-          "\"https://json.schemastore.org/sarif-2.1.0.json\","
-       << "\"version\":\"2.1.0\",\"runs\":[{"
-       << "\"tool\":{\"driver\":{\"name\":\"amnesiac-lint\","
-       << "\"rules\":[";
-    const std::vector<DiagInfo> &registry = diagnosticRegistry();
-    for (std::size_t i = 0; i < registry.size(); ++i) {
-        const DiagInfo &info = registry[i];
-        if (i)
-            os << ",";
-        os << "{\"id\":\"" << info.id << "\","
-           << "\"shortDescription\":{\"text\":\""
-           << jsonEscape(std::string(info.title)) << "\"},"
-           << "\"fullDescription\":{\"text\":\""
-           << jsonEscape(std::string(info.detail)) << "\"},"
-           << "\"properties\":{\"pass\":\"" << info.pass << "\"},"
-           << "\"defaultConfiguration\":{\"level\":\""
-           << severityName(info.severity) << "\"}}";
+    std::string out;
+    json::Writer w(out);
+    // SARIF's one-field wrapper objects: "outer":{"inner":"value"}.
+    auto wrapped = [&](std::string_view outer, std::string_view inner,
+                       std::string_view value) {
+        w.key(outer).beginObject().key(inner).string(value).endObject();
+    };
+    w.beginObject();
+    w.key("$schema").string("https://json.schemastore.org/sarif-2.1.0.json");
+    w.key("version").string("2.1.0");
+    w.key("runs").beginArray().beginObject();
+    w.key("tool").beginObject().key("driver").beginObject();
+    w.key("name").string("amnesiac-lint");
+    w.key("rules").beginArray();
+    for (const DiagInfo &info : diagnosticRegistry()) {
+        w.beginObject().key("id").string(info.id);
+        wrapped("shortDescription", "text", info.title);
+        wrapped("fullDescription", "text", info.detail);
+        wrapped("properties", "pass", info.pass);
+        wrapped("defaultConfiguration", "level",
+                severityName(info.severity));
+        w.endObject();
     }
-    os << "]}},\"results\":[";
-    bool first = true;
+    w.endArray().endObject().endObject();
+    w.key("results").beginArray();
     for (const AnalysisReport &report : reports) {
         for (const Diagnostic &d : report.diagnostics) {
-            if (!first)
-                os << ",";
-            first = false;
-            os << "{\"ruleId\":\"" << jsonEscape(d.id) << "\","
-               << "\"level\":\"" << severityName(d.severity) << "\","
-               << "\"message\":{\"text\":\"" << jsonEscape(d.message)
-               << "\"},\"locations\":[{\"physicalLocation\":{"
-               << "\"artifactLocation\":{\"uri\":\""
-               << jsonEscape(report.programName) << "\"}";
+            w.beginObject().key("ruleId").string(d.id);
+            w.key("level").string(severityName(d.severity));
+            wrapped("message", "text", d.message);
+            w.key("locations").beginArray().beginObject();
+            w.key("physicalLocation").beginObject();
+            wrapped("artifactLocation", "uri", report.programName);
             if (d.pc)
-                os << ",\"region\":{\"startLine\":" << (*d.pc + 1) << "}";
-            os << "}}]}";
+                w.key("region").beginObject().key("startLine")
+                    .integer(*d.pc + std::uint64_t{1}).endObject();
+            w.endObject().endObject().endArray().endObject();
         }
     }
-    os << "]}]}";
-    return os.str();
+    w.endArray().endObject().endArray().endObject();
+    return out;
 }
 
 }  // namespace amnesiac

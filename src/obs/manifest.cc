@@ -3,6 +3,8 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "util/json.h"
+
 namespace amnesiac {
 
 std::uint64_t
@@ -23,43 +25,39 @@ renderManifestJson(const RunManifest &manifest)
     // jobs, prunedCandidates) render first so a byte-prefix of the
     // output serves as a determinism witness (tests pin this layout);
     // scheduling/wall-clock provenance follows.
-    char buf[768];
-    std::snprintf(
-        buf, sizeof(buf),
-        "{\"configDigest\":\"%016" PRIx64 "\",\"seed\":%" PRIu64
-        ",\"jobsRequested\":%u,\"jobsEffective\":%u,"
-        "\"prunedCandidates\":%" PRIu64 ","
-        "\"cacheHits\":%u,\"cacheMisses\":%u,",
-        manifest.configDigest, manifest.seed, manifest.jobsRequested,
-        manifest.jobsEffective, manifest.prunedCandidates,
-        manifest.cacheHits, manifest.cacheMisses);
-    std::string out = buf;
-    out += "\"passes\":{";
-    bool first = true;
-    for (const PassTime &pass : manifest.passes) {
-        if (!first)
-            out += ',';
-        first = false;
-        out += '"';
-        out += pass.name;  // pass names are static identifiers
-        out += '"';
-        std::snprintf(buf, sizeof(buf), ":%.6f", pass.sec);
-        out += buf;
-    }
-    out += "},";
-    std::snprintf(
-        buf, sizeof(buf),
-        "\"phases\":{\"classicSec\":%.6f,\"compileSec\":%.6f,"
-        "\"analysisSec\":%.6f,\"profileSec\":%.6f,"
-        "\"simulateSec\":%.6f,\"totalSec\":%.6f},"
-        "\"pool\":{\"jobsExecuted\":%" PRIu64
-        ",\"queueWaitSec\":%.6f,\"workerBusySec\":%.6f}}",
-        manifest.phases.classicSec, manifest.phases.compileSec,
-        manifest.phases.analysisSec, manifest.phases.profileSec,
-        manifest.phases.simulateSec, manifest.phases.totalSec,
-        manifest.pool.jobsExecuted, manifest.pool.queueWaitSec,
-        manifest.pool.workerBusySec);
-    out += buf;
+    std::string out;
+    json::Writer w(out);
+    char buf[32];
+    auto seconds = [&](std::string_view key, double sec) {
+        std::snprintf(buf, sizeof(buf), "%.6f", sec);
+        w.key(key).raw(buf);
+    };
+    std::snprintf(buf, sizeof(buf), "%016" PRIx64, manifest.configDigest);
+    w.beginObject().key("configDigest").string(buf);
+    w.key("seed").integer(manifest.seed);
+    w.key("jobsRequested").integer(manifest.jobsRequested);
+    w.key("jobsEffective").integer(manifest.jobsEffective);
+    w.key("prunedCandidates").integer(manifest.prunedCandidates);
+    w.key("cacheHits").integer(manifest.cacheHits);
+    w.key("cacheMisses").integer(manifest.cacheMisses);
+    w.key("passes").beginObject();
+    for (const PassTime &pass : manifest.passes)
+        seconds(pass.name, pass.sec);
+    w.endObject();
+    const PhaseTimes &phases = manifest.phases;
+    w.key("phases").beginObject();
+    seconds("classicSec", phases.classicSec);
+    seconds("compileSec", phases.compileSec);
+    seconds("analysisSec", phases.analysisSec);
+    seconds("profileSec", phases.profileSec);
+    seconds("simulateSec", phases.simulateSec);
+    seconds("totalSec", phases.totalSec);
+    w.endObject();
+    w.key("pool").beginObject();
+    w.key("jobsExecuted").integer(manifest.pool.jobsExecuted);
+    seconds("queueWaitSec", manifest.pool.queueWaitSec);
+    seconds("workerBusySec", manifest.pool.workerBusySec);
+    w.endObject().endObject();
     return out;
 }
 

@@ -1,18 +1,11 @@
 #include "obs/metrics.h"
 
 #include <cassert>
-#include <cstdio>
+
+#include "util/json.h"
 
 namespace amnesiac {
 namespace {
-
-void
-appendDouble(std::string &out, double value)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", value);
-    out += buf;
-}
 
 /** Split `name{labels}` into the family name and the raw label list
  * (empty when unlabeled) — `# TYPE` lines and histogram series suffixes
@@ -49,20 +42,8 @@ appendSeries(std::string &out, const std::string &family,
         out += '}';
     }
     out += ' ';
-    appendDouble(out, value);
+    json::appendDouble(out, value);
     out += '\n';
-}
-
-void
-appendJsonString(std::string &out, const std::string &s)
-{
-    out += '"';
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    out += '"';
 }
 
 }  // namespace
@@ -141,10 +122,7 @@ MetricsRegistry::renderPrometheus() const
         for (std::size_t i = 0; i < hist.size(); ++i) {
             cumulative += hist.count(i);
             std::string le = "le=\"";
-            char edge[32];
-            std::snprintf(edge, sizeof(edge), "%.17g",
-                          hist.lowerEdge(i + 1));
-            le += edge;
+            json::appendDouble(le, hist.lowerEdge(i + 1));
             le += '"';
             appendSeries(out, family, "_bucket", labels, le, cumulative);
         }
@@ -154,48 +132,6 @@ MetricsRegistry::renderPrometheus() const
                      hist.mean() * hist.total());
         appendSeries(out, family, "_count", labels, "", hist.total());
     }
-    return out;
-}
-
-std::string
-MetricsRegistry::renderJson() const
-{
-    std::lock_guard<std::mutex> lock(_mutex);
-    std::string out = "{";
-    bool first = true;
-    auto key = [&](const std::string &name) {
-        if (!first)
-            out += ",";
-        first = false;
-        out += "\n  ";
-        appendJsonString(out, name);
-        out += ": ";
-    };
-    for (const auto &[name, value] : _counters) {
-        key(name);
-        appendDouble(out, value);
-    }
-    for (const auto &[name, value] : _gauges) {
-        key(name);
-        appendDouble(out, value);
-    }
-    for (const auto &[name, hist] : _histograms) {
-        key(name);
-        out += "{\"count\": ";
-        appendDouble(out, hist.total());
-        out += ", \"mean\": ";
-        appendDouble(out, hist.mean());
-        out += ", \"max\": ";
-        appendDouble(out, hist.maxSample());
-        out += ", \"buckets\": [";
-        for (std::size_t i = 0; i < hist.size(); ++i) {
-            if (i)
-                out += ", ";
-            appendDouble(out, hist.count(i));
-        }
-        out += "]}";
-    }
-    out += "\n}\n";
     return out;
 }
 

@@ -2,10 +2,10 @@
  * @file
  * Metrics export (the observability layer's third pillar): a
  * thread-safe registry of named counters, gauges, and bucketed
- * histograms that renders as Prometheus text exposition format or as
- * JSON. The experiment pipeline's parallel workers record into one
- * shared registry; exports iterate in name order, so the rendered text
- * for a given set of recordings is deterministic regardless of the
+ * histograms that renders as Prometheus text exposition format. The
+ * experiment pipeline's parallel workers record into one shared
+ * registry; exports iterate in name order, so the rendered text for a
+ * given set of recordings is deterministic regardless of the
  * interleaving that produced them.
  *
  * Metric names follow Prometheus conventions
@@ -26,7 +26,7 @@
 namespace amnesiac {
 
 /** Thread-safe counter/gauge/histogram registry with deterministic
- * (name-ordered) Prometheus and JSON export. */
+ * (name-ordered) Prometheus export. */
 class MetricsRegistry
 {
   public:
@@ -56,9 +56,6 @@ class MetricsRegistry
      * format requires.
      */
     std::string renderPrometheus() const;
-
-    /** The same content as one JSON object keyed by metric name. */
-    std::string renderJson() const;
 
   private:
     mutable std::mutex _mutex;

@@ -289,90 +289,50 @@ renderSpanFlameTable(const std::vector<SpanProfiler::ThreadSpans> &threads)
 
 namespace {
 
-void appendSpanJsonString(std::string &out, std::string_view text)
+/** Integer nanoseconds as microseconds with exactly three decimals. */
+std::string
+micros(std::uint64_t ns)
 {
-    out += '"';
-    for (const char c : text) {
-        switch (c) {
-        case '"':
-            out += "\\\"";
-            break;
-        case '\\':
-            out += "\\\\";
-            break;
-        case '\n':
-            out += "\\n";
-            break;
-        case '\t':
-            out += "\\t";
-            break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(c));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    out += '"';
-}
-
-void appendMicros(std::string &out, std::uint64_t ns)
-{
-    char buf[48];
+    char buf[32];
     std::snprintf(buf, sizeof(buf), "%" PRIu64 ".%03u", ns / 1000,
                   static_cast<unsigned>(ns % 1000));
-    out += buf;
+    return buf;
 }
 
 }  // namespace
 
+json::Writer &
+beginChromeEvent(json::Writer &w, std::string &out)
+{
+    if (w.separate())
+        out += '\n';
+    return w.beginObject();
+}
+
 void
-appendHostSpanChromeEvents(std::string &out, bool &first,
+appendHostSpanChromeEvents(json::Writer &w, std::string &out,
                            const std::vector<SpanProfiler::ThreadSpans> &threads,
                            int pid)
 {
-    char buf[96];
-    auto comma = [&]() {
-        if (!first)
-            out += ",\n";
-        first = false;
-    };
     for (const auto &thread : threads) {
-        comma();
-        std::snprintf(buf, sizeof(buf),
-                      "{\"ph\":\"M\",\"pid\":%d,\"tid\":%u,"
-                      "\"name\":\"thread_name\",\"args\":{\"name\":",
-                      pid, thread.tid);
-        out += buf;
-        appendSpanJsonString(out, "host:" + thread.name);
-        out += "}}";
+        beginChromeEvent(w, out).key("ph").string("M");
+        w.key("pid").integer(static_cast<std::uint64_t>(pid));
+        w.key("tid").integer(thread.tid);
+        w.key("name").string("thread_name");
+        w.key("args").beginObject().key("name").string("host:" + thread.name);
+        w.endObject().endObject();
         for (const SpanRecord &record : thread.spans) {
-            comma();
-            std::snprintf(buf, sizeof(buf),
-                          "{\"ph\":\"X\",\"pid\":%d,\"tid\":%u,\"ts\":", pid,
-                          thread.tid);
-            out += buf;
-            appendMicros(out, record.startNs);
-            out += ",\"dur\":";
-            appendMicros(out, record.endNs - record.startNs);
-            out += ",\"name\":";
-            appendSpanJsonString(out, record.name);
-            out += ",\"args\":{";
-            std::snprintf(buf, sizeof(buf), "\"depth\":%u",
-                          static_cast<unsigned>(record.depth));
-            out += buf;
-            for (std::uint8_t c = 0; c < record.counterCount; ++c) {
-                out += ',';
-                appendSpanJsonString(out, record.counters[c].key);
-                std::snprintf(buf, sizeof(buf), ":%" PRIu64,
-                              record.counters[c].value);
-                out += buf;
-            }
-            out += "}}";
+            beginChromeEvent(w, out).key("ph").string("X");
+            w.key("pid").integer(static_cast<std::uint64_t>(pid));
+            w.key("tid").integer(thread.tid);
+            w.key("ts").raw(micros(record.startNs));
+            w.key("dur").raw(micros(record.endNs - record.startNs));
+            w.key("name").string(record.name);
+            w.key("args").beginObject().key("depth").integer(record.depth);
+            for (std::uint8_t c = 0; c < record.counterCount; ++c)
+                w.key(record.counters[c].key)
+                    .integer(record.counters[c].value);
+            w.endObject().endObject();
         }
     }
 }
@@ -380,10 +340,14 @@ appendHostSpanChromeEvents(std::string &out, bool &first,
 std::string
 renderHostSpanChromeTrace(const std::vector<SpanProfiler::ThreadSpans> &threads)
 {
-    std::string out = "{\"traceEvents\":[\n";
-    bool first = true;
-    appendHostSpanChromeEvents(out, first, threads, /*pid=*/2);
-    out += "\n],\"displayTimeUnit\":\"ms\"}\n";
+    std::string out;
+    json::Writer w(out);
+    w.beginObject().key("traceEvents").beginArray();
+    out += '\n';
+    appendHostSpanChromeEvents(w, out, threads, /*pid=*/2);
+    out += '\n';
+    w.endArray().key("displayTimeUnit").string("ms").endObject();
+    out += '\n';
     return out;
 }
 

@@ -54,6 +54,8 @@
 #include <string_view>
 #include <vector>
 
+#include "util/json.h"
+
 namespace amnesiac {
 
 /** Parent index of a root (top-level) span. */
@@ -268,17 +270,21 @@ std::vector<SpanAggregate> aggregateSpans(
 std::string renderSpanFlameTable(
     const std::vector<SpanProfiler::ThreadSpans> &threads);
 
+/** Open the next event of a Chrome trace's `traceEvents` array on a
+ * line of its own: every Chrome trace here puts one event per line. */
+json::Writer &beginChromeEvent(json::Writer &w, std::string &out);
+
 /**
- * Append Chrome trace-event objects for the host spans to `out` (one
+ * Append Chrome trace-event objects for the host spans, one per line,
+ * to the open `traceEvents` array of `w`, which writes to `out` (one
  * complete 'X' event per span on `pid`, one real tid per host thread,
- * thread_name metadata "host:<name>"), comma-separating from whatever
- * `first` says precedes them. Timestamps are wall-clock microseconds
- * since enable(). Exposed so obs/trace.cc can merge host tracks into
- * a simulated-cycles trace; pid separation keeps the two clock domains
- * from sharing a timeline.
+ * thread_name metadata "host:<name>"). Timestamps are wall-clock
+ * microseconds since enable(). Exposed so obs/trace.cc can merge host
+ * tracks into a simulated-cycles trace; pid separation keeps the two
+ * clock domains from sharing a timeline.
  */
 void appendHostSpanChromeEvents(
-    std::string &out, bool &first,
+    json::Writer &w, std::string &out,
     const std::vector<SpanProfiler::ThreadSpans> &threads, int pid);
 
 /** A complete standalone Chrome trace of the host spans (--prof-out). */

@@ -1,9 +1,8 @@
 #include "obs/trace.h"
 
 #include <bit>
-#include <cinttypes>
-#include <cstdio>
-#include <sstream>
+
+#include "util/json.h"
 
 namespace amnesiac {
 
@@ -170,186 +169,124 @@ AmnesicTracer::onStore(const ExecutionEngine &e, std::uint32_t pc,
 
 namespace {
 
-/** %.17g round-trips doubles exactly; deterministic arithmetic means
- * deterministic bytes. */
 void
-appendDouble(std::string &out, double value)
+appendJsonlRecord(json::Writer &w, std::string &out, const TraceRecord &r)
 {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", value);
-    out += buf;
-}
-
-void
-appendU64(std::string &out, std::uint64_t value)
-{
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "%" PRIu64, value);
-    out += buf;
-}
-
-void
-appendJsonlRecord(std::string &out, const TraceRecord &r)
-{
-    out += "{\"ev\":\"";
-    out += traceEventName(r.kind);
-    out += "\",\"ts\":";
-    appendU64(out, r.cycles);
-    out += ",\"pc\":";
-    appendU64(out, r.pc);
-    if (r.sliceId != kNoSlice) {
-        out += ",\"slice\":";
-        appendU64(out, r.sliceId);
-    }
+    w.beginObject();
+    w.key("ev").string(traceEventName(r.kind));
+    w.key("ts").integer(r.cycles);
+    w.key("pc").integer(r.pc);
+    if (r.sliceId != kNoSlice)
+        w.key("slice").integer(r.sliceId);
     switch (r.kind) {
       case TraceEventKind::RcmpDecision:
-        out += ",\"addr\":";
-        appendU64(out, r.a);
-        out += ",\"res\":\"";
-        out += memLevelName(static_cast<MemLevel>(r.level));
-        out += "\",\"fired\":";
-        out += (r.flags & kTraceFired) ? "true" : "false";
+        w.key("addr").integer(r.a);
+        w.key("res").string(memLevelName(static_cast<MemLevel>(r.level)));
+        w.key("fired").boolean(r.flags & kTraceFired);
         if (r.flags & kTracePoisoned)
-            out += ",\"poisoned\":true";
+            w.key("poisoned").boolean(true);
         if (r.flags & kTraceHistMissAbort)
-            out += ",\"histMissAbort\":true";
+            w.key("histMissAbort").boolean(true);
         if (r.flags & kTraceSFileAbort)
-            out += ",\"sfileAbort\":true";
-        if (r.flags & kTracePredictorUsed) {
-            out += ",\"pred\":\"";
-            out += (r.flags & kTracePredictedMiss) ? "miss" : "hit";
-            out += "\"";
-        }
-        out += ",\"instrs\":";
-        appendU64(out, r.aux);
-        out += ",\"deltaNj\":";
-        appendDouble(out, std::bit_cast<double>(r.b));
+            w.key("sfileAbort").boolean(true);
+        if (r.flags & kTracePredictorUsed)
+            w.key("pred").string((r.flags & kTracePredictedMiss) ? "miss"
+                                                                 : "hit");
+        w.key("instrs").integer(r.aux);
+        w.key("deltaNj").number(std::bit_cast<double>(r.b));
         break;
       case TraceEventKind::SliceEntry:
         break;
       case TraceEventKind::SliceExit:
-        out += ",\"instrs\":";
-        appendU64(out, r.aux);
-        out += ",\"completed\":";
-        out += (r.flags & kTraceCompleted) ? "true" : "false";
+        w.key("instrs").integer(r.aux);
+        w.key("completed").boolean(r.flags & kTraceCompleted);
         break;
       case TraceEventKind::RecWrite:
       case TraceEventKind::HistOverflow:
-        out += ",\"leaf\":";
-        appendU64(out, r.aux);
+        w.key("leaf").integer(r.aux);
         break;
       case TraceEventKind::HistMissFallback:
       case TraceEventKind::SFileAbort:
-        out += ",\"instrs\":";
-        appendU64(out, r.aux);
+        w.key("instrs").integer(r.aux);
         break;
       case TraceEventKind::ShadowMismatch:
-        out += ",\"addr\":";
-        appendU64(out, std::uint64_t{r.aux} * 8);
-        out += ",\"got\":";
-        appendU64(out, r.a);
-        out += ",\"want\":";
-        appendU64(out, r.b);
+        w.key("addr").integer(std::uint64_t{r.aux} * 8);
+        w.key("got").integer(r.a);
+        w.key("want").integer(r.b);
         break;
       case TraceEventKind::Load:
       case TraceEventKind::Store:
-        out += ",\"addr\":";
-        appendU64(out, r.a);
-        out += ",\"val\":";
-        appendU64(out, r.b);
-        out += ",\"lvl\":\"";
-        out += memLevelName(static_cast<MemLevel>(r.level));
-        out += "\"";
+        w.key("addr").integer(r.a);
+        w.key("val").integer(r.b);
+        w.key("lvl").string(memLevelName(static_cast<MemLevel>(r.level)));
         break;
     }
-    out += "}\n";
+    w.endObject();
+    out += '\n';
 }
 
 void
-appendJsonString(std::string &out, std::string_view s)
-{
-    out += '"';
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    out += '"';
-}
-
-void
-appendChromeEvent(std::string &out, bool &first, const TraceRecord &r,
+appendChromeEvent(json::Writer &w, std::string &out, const TraceRecord &r,
                   int tid)
 {
-    auto emit = [&](const char *name, char ph, std::uint64_t ts,
-                    const std::string &args) {
-        if (!first)
-            out += ",\n";
-        first = false;
-        out += "{\"name\":";
-        appendJsonString(out, name);
-        out += ",\"ph\":\"";
-        out += ph;
-        out += "\",\"ts\":";
-        appendU64(out, ts);
-        out += ",\"pid\":1,\"tid\":";
-        appendU64(out, static_cast<std::uint64_t>(tid));
-        if (ph == 'i')
-            out += ",\"s\":\"t\"";
-        if (!args.empty()) {
-            out += ",\"args\":{";
-            out += args;
-            out += "}";
-        }
-        out += "}";
-    };
-
-    std::string args;
-    auto arg = [&](const char *key, std::uint64_t value) {
-        if (!args.empty())
-            args += ",";
-        args += "\"";
-        args += key;
-        args += "\":";
-        appendU64(args, value);
-    };
-
+    std::string name;
+    char ph = 'i';
     switch (r.kind) {
-      case TraceEventKind::RcmpDecision: {
-        arg("pc", r.pc);
-        arg("slice", r.sliceId);
-        arg("addr", r.a);
-        if (!args.empty())
-            args += ",";
-        args += "\"residence\":\"";
-        args += memLevelName(static_cast<MemLevel>(r.level));
-        args += "\",\"deltaNj\":";
-        appendDouble(args, std::bit_cast<double>(r.b));
-        emit((r.flags & kTraceFired) ? "rcmp:fire" : "rcmp:fallback", 'i',
-             r.cycles, args);
+      case TraceEventKind::RcmpDecision:
+        name = (r.flags & kTraceFired) ? "rcmp:fire" : "rcmp:fallback";
         break;
-      }
-      case TraceEventKind::SliceEntry: {
-        std::string name = "slice " + std::to_string(r.sliceId);
-        arg("pc", r.pc);
-        emit(name.c_str(), 'B', r.cycles, args);
+      case TraceEventKind::SliceEntry:
+      case TraceEventKind::SliceExit:
+        name = "slice " + std::to_string(r.sliceId);
+        ph = r.kind == TraceEventKind::SliceEntry ? 'B' : 'E';
         break;
-      }
-      case TraceEventKind::SliceExit: {
-        std::string name = "slice " + std::to_string(r.sliceId);
-        arg("instrs", r.aux);
-        emit(name.c_str(), 'E', r.cycles, args);
+      default:
+        name = traceEventName(r.kind);
         break;
-      }
-      default: {
-        arg("pc", r.pc);
-        if (r.sliceId != kNoSlice)
-            arg("slice", r.sliceId);
-        emit(std::string(traceEventName(r.kind)).c_str(), 'i', r.cycles,
-             args);
-        break;
-      }
     }
+    beginChromeEvent(w, out).key("name").string(name);
+    w.key("ph").string(std::string_view(&ph, 1));
+    w.key("ts").integer(r.cycles);
+    w.key("pid").integer(1);
+    w.key("tid").integer(static_cast<std::uint64_t>(tid));
+    if (ph == 'i')
+        w.key("s").string("t");
+    w.key("args").beginObject();
+    switch (r.kind) {
+      case TraceEventKind::RcmpDecision:
+        w.key("pc").integer(r.pc);
+        w.key("slice").integer(r.sliceId);
+        w.key("addr").integer(r.a);
+        w.key("residence").string(
+            memLevelName(static_cast<MemLevel>(r.level)));
+        w.key("deltaNj").number(std::bit_cast<double>(r.b));
+        break;
+      case TraceEventKind::SliceEntry:
+        w.key("pc").integer(r.pc);
+        break;
+      case TraceEventKind::SliceExit:
+        w.key("instrs").integer(r.aux);
+        break;
+      default:
+        w.key("pc").integer(r.pc);
+        if (r.sliceId != kNoSlice)
+            w.key("slice").integer(r.sliceId);
+        break;
+    }
+    w.endObject().endObject();
+}
+
+/** The metadata event that names track `tid` of pid 1. */
+void
+appendThreadName(json::Writer &w, std::string &out, int tid,
+                 std::string_view name)
+{
+    beginChromeEvent(w, out).key("name").string("thread_name");
+    w.key("ph").string("M");
+    w.key("pid").integer(1);
+    w.key("tid").integer(static_cast<std::uint64_t>(tid));
+    w.key("args").beginObject().key("name").string(name);
+    w.endObject().endObject();
 }
 
 }  // namespace
@@ -359,13 +296,14 @@ renderTraceJsonl(const TraceBuffer &buffer)
 {
     std::string out;
     out.reserve(buffer.size() * 96 + 128);
+    json::Writer w(out);
     for (const TraceRecord &r : buffer.records())
-        appendJsonlRecord(out, r);
-    out += "{\"ev\":\"meta\",\"kept\":";
-    appendU64(out, buffer.size());
-    out += ",\"dropped\":";
-    appendU64(out, buffer.dropped());
-    out += "}\n";
+        appendJsonlRecord(w, out, r);
+    w.beginObject().key("ev").string("meta");
+    w.key("kept").integer(buffer.size());
+    w.key("dropped").integer(buffer.dropped());
+    w.endObject();
+    out += '\n';
     return out;
 }
 
@@ -374,47 +312,40 @@ renderChromeTrace(const std::vector<TraceTrack> &tracks,
                   const std::vector<PhaseSpan> &phases,
                   const std::vector<SpanProfiler::ThreadSpans> &host)
 {
-    std::string out = "{\"traceEvents\":[\n";
-    bool first = true;
+    std::string out;
+    json::Writer w(out);
+    w.beginObject().key("traceEvents").beginArray();
+    out += '\n';
 
     // tid 0: the wall-clock pipeline-phase track.
     if (!phases.empty()) {
-        if (!first)
-            out += ",\n";
-        first = false;
-        out += "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,"
-               "\"tid\":0,\"args\":{\"name\":\"pipeline (wall clock)\"}}";
+        appendThreadName(w, out, 0, "pipeline (wall clock)");
         for (const PhaseSpan &span : phases) {
-            out += ",\n{\"name\":";
-            appendJsonString(out, span.name);
-            out += ",\"ph\":\"X\",\"ts\":";
-            appendDouble(out, span.startUs);
-            out += ",\"dur\":";
-            appendDouble(out, span.durUs);
-            out += ",\"pid\":1,\"tid\":0}";
+            beginChromeEvent(w, out).key("name").string(span.name);
+            w.key("ph").string("X");
+            w.key("ts").number(span.startUs);
+            w.key("dur").number(span.durUs);
+            w.key("pid").integer(1);
+            w.key("tid").integer(0);
+            w.endObject();
         }
     }
 
     int tid = 1;
     for (const TraceTrack &track : tracks) {
-        if (!first)
-            out += ",\n";
-        first = false;
-        out += "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":";
-        appendU64(out, static_cast<std::uint64_t>(tid));
-        out += ",\"args\":{\"name\":";
-        appendJsonString(out, track.name + " (cycles)");
-        out += "}}";
+        appendThreadName(w, out, tid, track.name + " (cycles)");
         if (track.buffer)
             for (const TraceRecord &r : track.buffer->records())
-                appendChromeEvent(out, first, r, tid);
+                appendChromeEvent(w, out, r, tid);
         ++tid;
     }
 
     // pid 2: the host profiler's wall-clock thread tracks.
-    appendHostSpanChromeEvents(out, first, host, /*pid=*/2);
+    appendHostSpanChromeEvents(w, out, host, /*pid=*/2);
 
-    out += "\n]}\n";
+    out += '\n';
+    w.endArray().endObject();
+    out += '\n';
     return out;
 }
 

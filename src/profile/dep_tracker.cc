@@ -4,81 +4,6 @@
 
 namespace amnesiac {
 
-namespace {
-
-constexpr std::uint64_t kFnvOffset = 0xCBF29CE484222325ull;
-constexpr std::uint64_t kFnvPrime = 0x100000001B3ull;
-
-std::uint64_t
-mix(std::uint64_t h, std::uint64_t v)
-{
-    h ^= v + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2);
-    return h * kFnvPrime;
-}
-
-}  // namespace
-
-std::uint64_t
-treeSignature(const DepTracker &tracker, NodeId root, int max_depth,
-              int max_nodes)
-{
-    // Iterative pre-order replication of the original recursive walk.
-    // Order matters: the node budget is shared across the whole tree,
-    // so in1's subtree must be consumed fully before in2 is entered,
-    // and markers (untracked/truncation) must not consume budget.
-    struct Frame
-    {
-        NodeId node;
-        int depthLeft;
-        std::uint64_t h;
-        int nextChild;
-    };
-    int nodes_left = max_nodes;
-    std::vector<Frame> stack;
-    std::uint64_t ret = 0;
-
-    // Visit a node: either resolve it to a marker immediately (returns
-    // false, marker in `ret`) or open a frame for it (returns true).
-    auto enter = [&](NodeId id, int depth_left) {
-        if (id == kNoNode) {
-            ret = 0x11ull;  // untracked-origin marker
-            return false;
-        }
-        if (depth_left == 0 || nodes_left <= 0) {
-            ret = 0x22ull;  // truncation marker
-            return false;
-        }
-        --nodes_left;
-        const ProducerNode &n = tracker.node(id);
-        std::uint64_t h = kFnvOffset;
-        h = mix(h, static_cast<std::uint64_t>(n.kind));
-        h = mix(h, n.pc);
-        h = mix(h, static_cast<std::uint64_t>(n.op));
-        stack.push_back({id, depth_left, h, 0});
-        return true;
-    };
-
-    if (!enter(root, max_depth))
-        return ret;
-    while (!stack.empty()) {
-        Frame &f = stack.back();
-        const ProducerNode &n = tracker.node(f.node);
-        if (f.nextChild < n.fanIn()) {
-            int k = f.nextChild++;
-            NodeId child = k == 0 ? n.in1 : n.in2;
-            if (enter(child, f.depthLeft - 1))
-                continue;  // descend (f may be stale after the push)
-            f.h = mix(f.h, ret);  // marker: mix immediately
-            continue;
-        }
-        ret = f.h;
-        stack.pop_back();
-        if (!stack.empty())
-            stack.back().h = mix(stack.back().h, ret);
-    }
-    return ret;
-}
-
 DepTracker::Pages::Pages(const Pages &other)
 {
     list.reserve(other.list.size());

@@ -259,16 +259,6 @@ class DepTracker
     NodeId _opaque = kNoNode;
 };
 
-/**
- * Structural signature of a backward slice: two dynamic trees get the
- * same signature iff they replicate the same static instructions in the
- * same shape (used to measure per-site slice stability, §3.1.1).
- * Depth and node count are capped; oversize trees get a sentinel mixed
- * into the hash so they never collide with their truncation.
- */
-std::uint64_t treeSignature(const DepTracker &tracker, NodeId root,
-                            int max_depth = 12, int max_nodes = 256);
-
 }  // namespace amnesiac
 
 #endif  // AMNESIAC_PROFILE_DEP_TRACKER_H

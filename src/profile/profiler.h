@@ -22,8 +22,8 @@ namespace amnesiac {
 /** Tuning for the profiling pass. */
 struct ProfilerConfig
 {
-    /** Tree-walk caps (also cap treeSignature). Deep enough to cover
-     * the paper's longest observed slices (~70 instructions, Fig 6). */
+    /** Tree-walk caps. Deep enough to cover the paper's longest
+     * observed slices (~70 instructions, Fig 6). */
     int maxTreeDepth = 80;
     int maxTreeNodes = 256;
     /** Distinct tree shapes remembered per site before giving up. */

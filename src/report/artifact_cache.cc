@@ -13,6 +13,7 @@
 #include "isa/serialize.h"
 #include "obs/manifest.h"
 #include "obs/span.h"
+#include "util/json.h"
 #include "util/logging.h"
 
 namespace amnesiac {
@@ -217,34 +218,34 @@ ArtifactCache::ArtifactCache(std::string dir)
 {
 }
 
-std::uint64_t
-ArtifactCache::key(const Program &program, const EnergyConfig &e,
-                   const HierarchyConfig &h, const CompilerConfig &c)
+void
+appendConfigNum(std::string &out, const char *key, double value)
 {
-    // Canonical string over every compile input that can change the
-    // emitted bytes. `prune` is deliberately absent (conservative-only
-    // contract: identical output either way, machine-checked); so is
-    // everything downstream of the compiler (amnesic runtime, timing
-    // backend, experiment seed).
-    std::string s;
-    s.reserve(1024);
-    char buf[64];
+    out += key;
+    out += '=';
+    json::appendDouble(out, value);
+    out += ';';
+}
+
+void
+appendConfigU64(std::string &out, const char *key, std::uint64_t value)
+{
+    out += key;
+    out += '=';
+    json::appendU64(out, value);
+    out += ';';
+}
+
+void
+appendCompileConfig(std::string &out, const EnergyConfig &e,
+                    const HierarchyConfig &h, const CompilerConfig &c)
+{
     auto num = [&](const char *key, double value) {
-        std::snprintf(buf, sizeof(buf), "%s=%.17g;", key, value);
-        s += buf;
+        appendConfigNum(out, key, value);
     };
     auto u64 = [&](const char *key, std::uint64_t value) {
-        std::snprintf(buf, sizeof(buf), "%s=%" PRIu64 ";", key, value);
-        s += buf;
+        appendConfigU64(out, key, value);
     };
-
-    std::vector<std::uint8_t> bytes = serializeProgram(program);
-    u64("program", fnv1aDigest(std::string_view(
-                       reinterpret_cast<const char *>(bytes.data()),
-                       bytes.size())));
-    u64("amnbVersion", kProgramFormatVersion);
-    u64("cacheVersion", kArtifactCacheVersion);
-
     num("l1Nj", e.l1AccessNj);
     num("l2Nj", e.l2AccessNj);
     num("memRdNj", e.memReadNj);
@@ -274,6 +275,9 @@ ArtifactCache::key(const Program &program, const EnergyConfig &e,
     u64("l2Ways", h.l2.ways);
     u64("l2Line", h.l2.lineBytes);
 
+    // `prune` is deliberately absent: the pruner carries a
+    // conservative-only contract (identical selected set and binary
+    // either way, machine-checked), so prune on/off share a key.
     u64("sliceMaxInstrs", c.builder.maxInstrs);
     u64("sliceMaxHeight", c.builder.maxHeight);
     num("liveThresh", c.builder.liveThreshold);
@@ -284,7 +288,26 @@ ArtifactCache::key(const Program &program, const EnergyConfig &e,
     num("profitMargin", c.profitabilityMargin);
     u64("globalModel", c.globalResidenceModel ? 1 : 0);
     u64("oracleSet", c.oracleSet ? 1 : 0);
-    u64("runLimit", c.runLimit);
+}
+
+std::uint64_t
+ArtifactCache::key(const Program &program, const EnergyConfig &e,
+                   const HierarchyConfig &h, const CompilerConfig &c)
+{
+    // Canonical string over every compile input that can change the
+    // emitted bytes. Everything downstream of the compiler (amnesic
+    // runtime, timing backend, experiment seed) is absent.
+    std::string s;
+    s.reserve(1024);
+    std::vector<std::uint8_t> bytes = serializeProgram(program);
+    appendConfigU64(s, "program",
+                    fnv1aDigest(std::string_view(
+                        reinterpret_cast<const char *>(bytes.data()),
+                        bytes.size())));
+    appendConfigU64(s, "amnbVersion", kProgramFormatVersion);
+    appendConfigU64(s, "cacheVersion", kArtifactCacheVersion);
+    appendCompileConfig(s, e, h, c);
+    appendConfigU64(s, "runLimit", c.runLimit);
     return fnv1aDigest(s);
 }
 

@@ -81,6 +81,22 @@ class ArtifactCache
 /** Entry format version (the salt; bump on any layout change). */
 inline constexpr std::uint32_t kArtifactCacheVersion = 1;
 
+/** Append one `key=value;` field to a canonical config string; doubles
+ * print as `%.17g`, so equal values give equal bytes. */
+void appendConfigNum(std::string &out, const char *key, double value);
+void appendConfigU64(std::string &out, const char *key, std::uint64_t value);
+
+/**
+ * Append every compile input of the energy, hierarchy and compiler
+ * configs except the compiler's run limit, whose key each caller
+ * writes itself. ArtifactCache::key and
+ * ExperimentRunner::canonicalConfigString share this one list, so a
+ * field added here reaches both the cache key and the config digest.
+ */
+void appendCompileConfig(std::string &out, const EnergyConfig &energy,
+                         const HierarchyConfig &hierarchy,
+                         const CompilerConfig &compiler);
+
 /**
  * Resolve the cache directory from the conventional knobs: an explicit
  * path wins, otherwise the AMNESIAC_CACHE_DIR environment variable,

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cinttypes>
-#include <cstdio>
 #include <optional>
 
 #include "analysis/analyzer.h"
@@ -96,63 +94,16 @@ ExperimentRunner::canonicalConfigString(const ExperimentConfig &config)
     // digests stay comparable within a revision.
     std::string out;
     out.reserve(768);
-    char buf[64];
-    auto num = [&](const char *key, double value) {
-        std::snprintf(buf, sizeof(buf), "%s=%.17g;", key, value);
-        out += buf;
-    };
     auto u64 = [&](const char *key, std::uint64_t value) {
-        std::snprintf(buf, sizeof(buf), "%s=%" PRIu64 ";", key, value);
-        out += buf;
+        appendConfigU64(out, key, value);
     };
 
-    const EnergyConfig &e = config.energy;
-    num("l1Nj", e.l1AccessNj);
-    num("l2Nj", e.l2AccessNj);
-    num("memRdNj", e.memReadNj);
-    num("memWrNj", e.memWriteNj);
-    num("histNj", e.histAccessNj);
-    num("memCoreNj", e.memCoreNj);
-    u64("l1Cyc", e.l1Cycles);
-    u64("l2Cyc", e.l2Cycles);
-    u64("memCyc", e.memCycles);
-    u64("histCyc", e.histCycles);
-    num("intAlu", e.intAluNj);
-    num("intMul", e.intMulNj);
-    num("intDiv", e.intDivNj);
-    num("fpAlu", e.fpAluNj);
-    num("fpMul", e.fpMulNj);
-    num("fpDiv", e.fpDivNj);
-    num("branch", e.branchNj);
-    num("jump", e.jumpNj);
-    num("nop", e.nopNj);
-    num("scale", e.nonMemScale);
-    num("ghz", e.frequencyGhz);
-
-    const HierarchyConfig &h = config.hierarchy;
-    u64("l1Size", h.l1.sizeBytes);
-    u64("l1Ways", h.l1.ways);
-    u64("l1Line", h.l1.lineBytes);
-    u64("l2Size", h.l2.sizeBytes);
-    u64("l2Ways", h.l2.ways);
-    u64("l2Line", h.l2.lineBytes);
-
-    // `compiler.prune` is deliberately absent, like `jobs`: the pruner
-    // carries a conservative-only contract (identical selected set and
-    // binary either way), so prune on/off runs rightly share a digest —
+    // `compiler.prune` is deliberately absent, like `jobs` (see
+    // appendCompileConfig): prune on/off runs rightly share a digest —
     // and the perf-smoke harness holds it to that claim.
-    const CompilerConfig &c = config.compiler;
-    u64("sliceMaxInstrs", c.builder.maxInstrs);
-    u64("sliceMaxHeight", c.builder.maxHeight);
-    num("liveThresh", c.builder.liveThreshold);
-    num("budgetMargin", c.builder.budgetMargin);
-    num("stability", c.stabilityThreshold);
-    num("matchThresh", c.matchThreshold);
-    u64("minSiteCount", c.minSiteCount);
-    num("profitMargin", c.profitabilityMargin);
-    u64("globalModel", c.globalResidenceModel ? 1 : 0);
-    u64("oracleSet", c.oracleSet ? 1 : 0);
-    u64("compileRunLimit", c.runLimit);
+    appendCompileConfig(out, config.energy, config.hierarchy,
+                        config.compiler);
+    u64("compileRunLimit", config.compiler.runLimit);
 
     const AmnesicConfig &a = config.amnesic;
     u64("policy", static_cast<std::uint64_t>(a.policy));
@@ -162,7 +113,7 @@ ExperimentRunner::canonicalConfigString(const ExperimentConfig &config)
     u64("predLog", a.predictorLogEntries);
     u64("shadow", a.shadowCheck ? 1 : 0);
     u64("strict", a.strictMismatch ? 1 : 0);
-    num("decisionScale", a.decisionNonMemScale);
+    appendConfigNum(out, "decisionScale", a.decisionNonMemScale);
 
     u64("runLimit", config.runLimit);
     u64("seed", config.seed);

@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "obs/manifest.h"
+#include "util/json.h"
 
 namespace amnesiac {
 
@@ -110,23 +111,27 @@ std::string
 renderRunTraceJsonl(const std::vector<BenchmarkResult> &results)
 {
     std::string out;
+    json::Writer w(out);
+    char digest[24];
     for (const BenchmarkResult &result : results)
         for (const PolicyOutcome &outcome : result.policies) {
-            out += "{\"ev\":\"run\",\"workload\":\"" + result.name +
-                   "\",\"policy\":\"" +
-                   std::string(policyName(outcome.policy)) + "\"}\n";
+            w.beginObject().key("ev").string("run");
+            w.key("workload").string(result.name);
+            w.key("policy").string(policyName(outcome.policy));
+            w.endObject();
+            out += '\n';
             out += renderTraceJsonl(outcome.trace);
             // Only the manifest's deterministic fields ride in the
             // stream: the whole file must stay byte-identical across
             // runs and `jobs` values, so the wall-clock half lives in
             // the separate --manifest artifact.
-            char manifest[80];
-            std::snprintf(manifest, sizeof(manifest),
-                          "{\"ev\":\"manifest\",\"configDigest\":"
-                          "\"%016" PRIx64 "\",\"seed\":%" PRIu64 "}\n",
-                          result.manifest.configDigest,
-                          result.manifest.seed);
-            out += manifest;
+            std::snprintf(digest, sizeof(digest), "%016" PRIx64,
+                          result.manifest.configDigest);
+            w.beginObject().key("ev").string("manifest");
+            w.key("configDigest").string(digest);
+            w.key("seed").integer(result.manifest.seed);
+            w.endObject();
+            out += '\n';
         }
     return out;
 }

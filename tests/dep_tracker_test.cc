@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests for the dynamic dependence tracker: producer linking through
- * registers and memory, input-load boundaries, tree signatures, depth
- * capping, arena recycling, and the paged arena layout.
+ * registers and memory, input-load boundaries, shared subtrees, depth
+ * capping, arena recycling, and the paged arena layout. Tree structure
+ * is checked directly on the nodes (kind, site, opcode, links).
  */
 
 #include <vector>
@@ -26,6 +27,24 @@ alu(Opcode op, Reg rd, Reg rs1, Reg rs2, std::int64_t imm = 0)
     return i;
 }
 
+/** Expect the trees under `a` in `ta` and `b` in `tb` to match node
+ * for node in kind, site, opcode and links (values may differ). */
+void
+expectSameShape(const DepTracker &ta, NodeId a, const DepTracker &tb,
+                NodeId b)
+{
+    ASSERT_EQ(a == kNoNode, b == kNoNode);
+    if (a == kNoNode)
+        return;
+    const ProducerNode &x = ta.node(a);
+    const ProducerNode &y = tb.node(b);
+    EXPECT_EQ(x.kind, y.kind);
+    EXPECT_EQ(x.pc, y.pc);
+    EXPECT_EQ(x.op, y.op);
+    expectSameShape(ta, x.in1, tb, y.in1);
+    expectSameShape(ta, x.in2, tb, y.in2);
+}
+
 TEST(DepTracker, LinksProducersThroughRegisters)
 {
     DepTracker t;
@@ -41,6 +60,40 @@ TEST(DepTracker, LinksProducersThroughRegisters)
     EXPECT_EQ(t.node(t.node(root).in1).pc, 10u);
     EXPECT_EQ(t.node(t.node(root).in2).pc, 11u);
     EXPECT_EQ(t.node(root).depth, 2);
+    EXPECT_EQ(t.node(root).kind, ProducerNode::Kind::Alu);
+    EXPECT_EQ(t.node(root).op, Opcode::Add);
+    for (NodeId leaf : {t.node(root).in1, t.node(root).in2}) {
+        EXPECT_EQ(t.node(leaf).kind, ProducerNode::Kind::Alu);
+        EXPECT_EQ(t.node(leaf).op, Opcode::Li);
+        EXPECT_EQ(t.node(leaf).fanIn(), 0);
+    }
+}
+
+TEST(DepTracker, SharedSubtreeIsOneNode)
+{
+    // r6 = (r3 * r4) - r3 with r3 = r1 + r2: both uses of r3 link the
+    // very same node, so the tree is a DAG, not a copy per use.
+    DepTracker t;
+    t.onAlu(1, alu(Opcode::Li, 1, 0, 0, 1), 1);
+    t.onAlu(2, alu(Opcode::Li, 2, 0, 0, 2), 2);
+    t.onAlu(3, alu(Opcode::Add, 3, 1, 2), 3);
+    t.onAlu(4, alu(Opcode::Li, 4, 0, 0, 4), 4);
+    t.onAlu(5, alu(Opcode::Mul, 5, 3, 4), 12);
+    t.onAlu(6, alu(Opcode::Sub, 6, 5, 3), 9);
+    const ProducerNode &sub = t.node(t.regProducer(6));
+    EXPECT_EQ(sub.op, Opcode::Sub);
+    EXPECT_EQ(sub.pc, 6u);
+    const ProducerNode &mul = t.node(sub.in1);
+    EXPECT_EQ(mul.op, Opcode::Mul);
+    EXPECT_EQ(mul.pc, 5u);
+    EXPECT_EQ(mul.in1, sub.in2);
+    EXPECT_EQ(mul.in1, t.regProducer(3));
+    EXPECT_EQ(t.node(mul.in2).pc, 4u);
+    const ProducerNode &add = t.node(sub.in2);
+    EXPECT_EQ(add.op, Opcode::Add);
+    EXPECT_EQ(t.node(add.in1).pc, 1u);
+    EXPECT_EQ(t.node(add.in2).pc, 2u);
+    EXPECT_EQ(sub.depth, 4);
 }
 
 TEST(DepTracker, StoreAndLoadPropagateProduction)
@@ -72,11 +125,22 @@ TEST(DepTracker, UntrackedLoadBecomesInputLeaf)
     ASSERT_NE(id, kNoNode);
     const ProducerNode &node = t.node(id);
     EXPECT_EQ(node.kind, ProducerNode::Kind::InputLoad);
+    EXPECT_EQ(node.pc, 7u);
+    EXPECT_EQ(node.op, Opcode::Ld);
     EXPECT_EQ(node.value, 42u);
     EXPECT_EQ(node.fanIn(), 0);
+
+    // A consumer links the input leaf; an operand register nothing
+    // ever wrote stays an untracked link.
+    t.onAlu(8, alu(Opcode::Add, 5, 4, 6), 42);
+    const ProducerNode &add = t.node(t.regProducer(5));
+    EXPECT_EQ(add.kind, ProducerNode::Kind::Alu);
+    EXPECT_EQ(add.in1, id);
+    EXPECT_EQ(add.in2, kNoNode);
+    EXPECT_EQ(add.depth, 2);
 }
 
-TEST(DepTracker, SignatureStableAcrossEquivalentTrees)
+TEST(DepTracker, EquivalentTreesHaveTheSameShape)
 {
     auto build = [](std::uint64_t a, std::uint64_t b) {
         DepTracker t;
@@ -85,21 +149,15 @@ TEST(DepTracker, SignatureStableAcrossEquivalentTrees)
         t.onAlu(11, alu(Opcode::Li, 2, 0, 0,
                         static_cast<std::int64_t>(b)), b);
         t.onAlu(12, alu(Opcode::Mul, 3, 1, 2), a * b);
-        return treeSignature(t, t.regProducer(3));
+        return t;
     };
-    // Same static shape, different values: same signature.
-    EXPECT_EQ(build(3, 4), build(100, 200));
-}
-
-TEST(DepTracker, SignatureDistinguishesShapes)
-{
-    DepTracker t;
-    t.onAlu(10, alu(Opcode::Li, 1, 0, 0, 5), 5);
-    t.onAlu(12, alu(Opcode::Add, 3, 1, 1), 10);
-    std::uint64_t sig_add = treeSignature(t, t.regProducer(3));
-    t.onAlu(13, alu(Opcode::Xor, 3, 1, 1), 0);
-    std::uint64_t sig_xor = treeSignature(t, t.regProducer(3));
-    EXPECT_NE(sig_add, sig_xor);
+    // Same static shape, different values: the same nodes.
+    const DepTracker small = build(3, 4);
+    const DepTracker large = build(100, 200);
+    expectSameShape(small, small.regProducer(3), large,
+                    large.regProducer(3));
+    EXPECT_NE(small.node(small.regProducer(3)).value,
+              large.node(large.regProducer(3)).value);
 }
 
 TEST(DepTracker, SelfRecurrentChainsAreStubbed)
@@ -122,6 +180,9 @@ TEST(DepTracker, SelfRecurrentChainsAreStubbed)
     ASSERT_NE(stub, kNoNode);
     EXPECT_EQ(t.node(stub).kind, ProducerNode::Kind::Truncated);
     EXPECT_EQ(t.node(stub).pc, 2u);  // stub preserves the site
+    EXPECT_EQ(t.node(stub).op, Opcode::Add);
+    EXPECT_EQ(t.node(stub).in1, kNoNode);
+    EXPECT_EQ(t.node(stub).in2, kNoNode);
 }
 
 TEST(DepTracker, CrossPcChainsCapAtGlobalDepth)
@@ -133,6 +194,26 @@ TEST(DepTracker, CrossPcChainsCapAtGlobalDepth)
         t.onAlu(2 + (i & 1), alu(Opcode::Add, 1, 1, 1),
                 static_cast<std::uint64_t>(i));
     EXPECT_LE(t.node(t.regProducer(1)).depth, kMaxChainDepth);
+    // The chain alternates the two sites and ends, within the cap, in a
+    // link-free stub.
+    NodeId walk = t.regProducer(1);
+    int links = 0;
+    while (t.node(walk).kind == ProducerNode::Kind::Alu) {
+        const ProducerNode &n = t.node(walk);
+        EXPECT_EQ(n.op, Opcode::Add);
+        ASSERT_NE(n.in1, kNoNode);
+        // add r1, r1, r1: both links name r1's producer (at the cap
+        // each link gets a stub of its own).
+        ASSERT_NE(n.in2, kNoNode);
+        EXPECT_EQ(t.node(n.in1).pc, t.node(n.in2).pc);
+        EXPECT_NE(t.node(n.in1).pc, n.pc);
+        walk = n.in1;
+        ++links;
+    }
+    EXPECT_EQ(t.node(walk).kind, ProducerNode::Kind::Truncated);
+    EXPECT_EQ(t.node(walk).in1, kNoNode);
+    EXPECT_GT(links, 0);
+    EXPECT_LT(links, kMaxChainDepth);
 }
 
 TEST(DepTracker, StubsPreserveValues)
@@ -209,9 +290,9 @@ TEST(DepTracker, PinKeepsSubgraphAlive)
 }
 
 // --- copied arenas: a copy of a tracker must preserve ids, pins,
-// signatures, and the global sequence numbering exactly. ---
+// tree structure, and the global sequence numbering exactly. ---
 
-TEST(DepTracker, CopiedArenaPreservesIdsPinsAndSignatures)
+TEST(DepTracker, CopiedArenaPreservesIdsAndPins)
 {
     DepTracker t;
     t.onAlu(1, alu(Opcode::Li, 1, 0, 0, 5), 5);
@@ -219,14 +300,14 @@ TEST(DepTracker, CopiedArenaPreservesIdsPinsAndSignatures)
     t.onAlu(3, alu(Opcode::Mul, 3, 1, 2), 35);
     NodeId root = t.regProducer(3);
     t.pin(root);
-    std::uint64_t sig = treeSignature(t, root);
 
     DepTracker copy = t;
     // NodeIds are arena indexes, so they stay valid verbatim in the
-    // copy, and structural signatures agree arena-for-arena.
+    // copy, links included, and the trees match node for node.
     EXPECT_EQ(copy.regProducer(3), root);
-    EXPECT_EQ(treeSignature(copy, root), sig);
-    EXPECT_EQ(copy.node(root).pc, t.node(root).pc);
+    EXPECT_EQ(copy.node(root).in1, t.node(root).in1);
+    EXPECT_EQ(copy.node(root).in2, t.node(root).in2);
+    expectSameShape(t, root, copy, root);
     EXPECT_EQ(copy.node(root).seq, t.node(root).seq);
 
     // Diverge both sides; the pin must hold independently in each
@@ -234,8 +315,9 @@ TEST(DepTracker, CopiedArenaPreservesIdsPinsAndSignatures)
     t.onAlu(4, alu(Opcode::Li, 3, 0, 0, 0), 0);
     copy.onAlu(5, alu(Opcode::Li, 3, 0, 0, 1), 1);
     copy.onAlu(6, alu(Opcode::Li, 1, 0, 0, 2), 2);
-    EXPECT_EQ(treeSignature(t, root), sig);
-    EXPECT_EQ(treeSignature(copy, root), sig);
+    expectSameShape(t, root, copy, root);
+    EXPECT_EQ(t.node(t.node(root).in1).pc, 1u);
+    EXPECT_EQ(copy.node(copy.node(root).in2).pc, 2u);
     EXPECT_EQ(t.node(root).value, 35u);
     EXPECT_EQ(copy.node(root).value, 35u);
 }

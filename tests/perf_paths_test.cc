@@ -10,10 +10,7 @@
  *      full RCMP/REC/slice trace compared event-for-event);
  *  (b) the profiling pass (observer attached: the slow template
  *      instantiation) produces the same profile either way;
- *  (c) treeSignature over the NodeId arena reproduces golden values
- *      captured from the pre-arena (shared_ptr) implementation,
- *      including the truncation-marker and shared-budget paths;
- *  (d) the tracker's steady state performs zero heap allocations — the
+ *  (c) the tracker's steady state performs zero heap allocations — the
  *      free-list arena must recycle dead subgraphs instead of touching
  *      operator new (the perf contract behind the profiling speedup).
  */
@@ -305,72 +302,7 @@ TEST(PerfPaths, AmnesicFastLoopMatchesStepLoopEveryPolicy)
     }
 }
 
-// --- (c) golden tree signatures -------------------------------------------
-// Values captured from the pre-arena (shared_ptr node) implementation,
-// which the NodeId arena must reproduce exactly: the signature feeds
-// CandidateTree identity, so any drift silently changes which slices
-// the compiler builds.
-
-TEST(PerfPaths, TreeSignatureMatchesPreArenaGoldenSmallTree)
-{
-    DepTracker t;
-    t.onAlu(10, alu(Opcode::Li, 1, 0, 0, 5), 5);
-    t.onAlu(11, alu(Opcode::Li, 2, 0, 0, 7), 7);
-    t.onAlu(12, alu(Opcode::Add, 3, 1, 2), 12);
-    EXPECT_EQ(treeSignature(t, t.regProducer(3)), 0x431070e216a81ad1ull);
-    // Tight caps (depth 1 / nodes 2) pin the truncation-marker path.
-    EXPECT_EQ(treeSignature(t, t.regProducer(3), 1, 2),
-              0xbdf56b5c1d60e111ull);
-}
-
-TEST(PerfPaths, TreeSignatureMatchesPreArenaGoldenInputLoad)
-{
-    DepTracker t;
-    Instruction ld;
-    ld.op = Opcode::Ld;
-    ld.rd = 4;
-    t.onLoad(7, ld, 128, 42);
-    t.onAlu(8, alu(Opcode::Add, 5, 4, 6), 42);
-    EXPECT_EQ(treeSignature(t, t.regProducer(5)), 0x29747f948b408706ull);
-}
-
-TEST(PerfPaths, TreeSignatureMatchesPreArenaGoldenSelfChain)
-{
-    DepTracker t;
-    t.onAlu(1, alu(Opcode::Li, 2, 0, 0, 1), 1);
-    for (int i = 0; i < 100; ++i)
-        t.onAlu(5, alu(Opcode::Add, 1, 1, 2), i);
-    EXPECT_EQ(treeSignature(t, t.regProducer(1)), 0x0651aba4bac4296dull);
-}
-
-TEST(PerfPaths, TreeSignatureMatchesPreArenaGoldenDeepChain)
-{
-    DepTracker t;
-    t.onAlu(1, alu(Opcode::Li, 2, 0, 0, 3), 3);
-    // Alternating pcs dodge the self-chain rule and hit kMaxChainDepth.
-    for (int i = 0; i < 2000; ++i)
-        t.onAlu(10 + (i & 1), alu(Opcode::Add, 1, 1, 2), i);
-    EXPECT_EQ(treeSignature(t, t.regProducer(1), 80, 256),
-              0x4ce81c3ff79e41eeull);
-}
-
-TEST(PerfPaths, TreeSignatureMatchesPreArenaGoldenSharedBudget)
-{
-    // Wider tree under a small node budget (depth 3 / nodes 4): the
-    // shared nodes_left budget makes the result traversal-order
-    // dependent, so this pins the exact pre-order walk.
-    DepTracker t;
-    t.onAlu(1, alu(Opcode::Li, 1, 0, 0, 1), 1);
-    t.onAlu(2, alu(Opcode::Li, 2, 0, 0, 2), 2);
-    t.onAlu(3, alu(Opcode::Add, 3, 1, 2), 3);
-    t.onAlu(4, alu(Opcode::Li, 4, 0, 0, 4), 4);
-    t.onAlu(5, alu(Opcode::Mul, 5, 3, 4), 12);
-    t.onAlu(6, alu(Opcode::Sub, 6, 5, 3), 9);
-    EXPECT_EQ(treeSignature(t, t.regProducer(6), 3, 4),
-              0x13f6c0b9465acd3cull);
-}
-
-// --- (d) steady-state zero-allocation contract -----------------------------
+// --- (c) steady-state zero-allocation contract -----------------------------
 
 TEST(PerfPaths, DepTrackerSteadyStateIsAllocationFree)
 {
