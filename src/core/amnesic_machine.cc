@@ -79,11 +79,8 @@ AmnesicMachine::runtimeSliceEnergy(std::uint32_t slice_id) const
 }
 
 void
-AmnesicMachine::execAmnesic(ExecutionEngine &engine,
-                            const Instruction &instr)
+AmnesicMachine::execAmnesic(Machine &, const Instruction &instr)
 {
-    AMNESIAC_ASSERT(&engine == &this->engine(),
-                    "hooks bound to a foreign engine");
     switch (instr.op) {
       case Opcode::Rec:
         execRec(instr);
@@ -103,16 +100,15 @@ AmnesicMachine::execAmnesic(ExecutionEngine &engine,
 void
 AmnesicMachine::execRec(const Instruction &instr)
 {
-    ExecutionEngine &e = engine();
     // REC is modeled after a store to L1-D (§4); it charges the store
     // bucket so Table 4's breakdown reflects the checkpoint traffic.
-    e.chargeEnergy(e.energyModel().instrEnergy(InstrCategory::Rec),
-                   &EnergyBreakdown::storeNj);
-    e.chargeCycles(
-        e.timingModel().instrLatency(e.energyModel(), InstrCategory::Rec));
+    chargeEnergy(energyModel().instrEnergy(InstrCategory::Rec),
+                 &EnergyBreakdown::storeNj);
+    chargeCycles(
+        timingModel().instrLatency(energyModel(), InstrCategory::Rec));
 
-    std::uint64_t v0 = e.readReg(instr.rs1);
-    std::uint64_t v1 = e.readReg(instr.rs2);
+    std::uint64_t v0 = readReg(instr.rs1);
+    std::uint64_t v1 = readReg(instr.rs2);
     bool commit = true;
     if (_faults)
         commit = _faults->onRecCheckpoint(instr.leafAddr, instr.sliceId,
@@ -122,37 +118,36 @@ AmnesicMachine::execRec(const Instruction &instr)
         // Injected drop: Hist silently keeps its previous contents. The
         // slice is *not* poisoned — whether the stale/missing entry is
         // masked or detected is exactly what the oracle checks.
-        e.setPc(e.pc() + 1);
+        setPc(pc() + 1);
         return;
     }
 
     bool recorded = _hist.record(instr.leafAddr, v0, v1);
     if (recorded) {
-        ++e.mutableStats().histWrites;
+        ++mutableStats().histWrites;
     } else {
         // §3.5: a failed REC poisons its slice; the matching RCMP must
         // skip recomputation from now on.
-        ++e.mutableStats().histOverflows;
+        ++mutableStats().histOverflows;
         _failedSlices.insert(instr.sliceId);
     }
     if (_trace)
-        _trace->onRec(e.stats().cycles, e.pc(), instr.sliceId,
-                      instr.leafAddr, !recorded);
-    e.setPc(e.pc() + 1);
+        _trace->onRec(stats().cycles, pc(), instr.sliceId, instr.leafAddr,
+                      !recorded);
+    setPc(pc() + 1);
 }
 
 void
 AmnesicMachine::execRcmp(const Instruction &instr)
 {
-    ExecutionEngine &e = engine();
-    std::uint32_t rcmp_pc = e.pc();
-    std::uint64_t addr = e.effectiveAddr(instr);
-    ++e.mutableStats().rcmpSeen;
+    std::uint32_t rcmp_pc = pc();
+    std::uint64_t addr = effectiveAddr(instr);
+    ++mutableStats().rcmpSeen;
 
     // The fused branch itself (§4: modeled after a conditional branch).
-    e.chargeNonMem(InstrCategory::Rcmp);
+    chargeNonMem(InstrCategory::Rcmp);
 
-    MemLevel residence = e.hierarchy().peekLevel(addr);
+    MemLevel residence = hierarchy().peekLevel(addr);
 
     // Tracing is passive: the event is staged on the side and emitted
     // once the RCMP resolved; nothing below consults it.
@@ -163,7 +158,7 @@ AmnesicMachine::execRcmp(const Instruction &instr)
         traced.addr = addr;
         traced.residence = residence;
         traced.poisoned = _failedSlices.count(instr.sliceId) != 0;
-        traced.loadNj = e.energyModel().loadEnergy(residence);
+        traced.loadNj = energyModel().loadEnergy(residence);
         traced.sliceNj = _sliceChargedNj[instr.sliceId];
         traced.estSliceNj = _sliceEnergy[instr.sliceId];
     }
@@ -173,25 +168,25 @@ AmnesicMachine::execRcmp(const Instruction &instr)
                                      _trace ? &traced : nullptr);
 
     if (recompute) {
-        _ibuff.fill(e.program().slices[instr.sliceId].length);
+        _ibuff.fill(program().slices[instr.sliceId].length);
         if (_trace)
-            _trace->onSliceEntry(e.stats().cycles, rcmp_pc, instr.sliceId);
+            _trace->onSliceEntry(stats().cycles, rcmp_pc, instr.sliceId);
         TraverseResult traversal = traverseSlice(instr, addr);
         if (_trace) {
-            _trace->onSliceExit(e.stats().cycles, rcmp_pc, instr.sliceId,
+            _trace->onSliceExit(stats().cycles, rcmp_pc, instr.sliceId,
                                 traversal.instrs, traversal.completed);
             traced.histMissAbort = traversal.histMiss;
             traced.sfileAbort = traversal.sfileOverflow;
             traced.sliceInstrs = traversal.instrs;
         }
         if (traversal.completed) {
-            ++e.mutableStats().recomputations;
-            ++e.mutableStats().swappedByLevel[
+            ++mutableStats().recomputations;
+            ++mutableStats().swappedByLevel[
                 static_cast<std::size_t>(residence)];
-            e.setPc(rcmp_pc + 1);
+            setPc(rcmp_pc + 1);
             if (_trace) {
                 traced.fired = true;
-                traced.cycles = e.stats().cycles;
+                traced.cycles = stats().cycles;
                 _trace->onRcmp(traced);
             }
             return;
@@ -199,13 +194,13 @@ AmnesicMachine::execRcmp(const Instruction &instr)
         recompute = false;  // aborted; fall back to the load
     }
 
-    e.performLoad(rcmp_pc, instr);
-    ++e.mutableStats().fallbackLoads;
-    ++e.mutableStats().fallbackByLevel[
+    performLoad(rcmp_pc, instr);
+    ++mutableStats().fallbackLoads;
+    ++mutableStats().fallbackByLevel[
         static_cast<std::size_t>(residence)];
-    e.setPc(rcmp_pc + 1);
+    setPc(rcmp_pc + 1);
     if (_trace) {
-        traced.cycles = e.stats().cycles;
+        traced.cycles = stats().cycles;
         _trace->onRcmp(traced);
     }
 }
@@ -215,27 +210,26 @@ AmnesicMachine::shouldRecompute(const Instruction &instr,
                                 std::uint64_t addr, MemLevel residence,
                                 AmnesicTraceHooks::RcmpEvent *trace)
 {
-    ExecutionEngine &e = engine();
-    const EnergyModel &energy = e.energyModel();
+    const EnergyModel &energy = energyModel();
     switch (_config.policy) {
       case Policy::Compiler:
         // Runtime-oblivious: every RCMP fires (§3.3.1).
         return true;
       case Policy::FLC:
-        if (e.hierarchy().probe(MemLevel::L1, addr))
+        if (hierarchy().probe(MemLevel::L1, addr))
             return false;  // the probe becomes the load's own L1 lookup
         // Miss: the probe energy is sunk on top of recomputation.
-        e.chargeEnergy(energy.probeEnergy(MemLevel::L1),
-                       &EnergyBreakdown::loadNj);
-        e.chargeCycles(energy.probeLatency(MemLevel::L1));
+        chargeEnergy(energy.probeEnergy(MemLevel::L1),
+                     &EnergyBreakdown::loadNj);
+        chargeCycles(energy.probeLatency(MemLevel::L1));
         return true;
       case Policy::LLC:
-        if (e.hierarchy().probe(MemLevel::L1, addr) ||
-            e.hierarchy().probe(MemLevel::L2, addr))
+        if (hierarchy().probe(MemLevel::L1, addr) ||
+            hierarchy().probe(MemLevel::L2, addr))
             return false;
-        e.chargeEnergy(energy.probeEnergy(MemLevel::L2),
-                       &EnergyBreakdown::loadNj);
-        e.chargeCycles(energy.probeLatency(MemLevel::L2));
+        chargeEnergy(energy.probeEnergy(MemLevel::L2),
+                     &EnergyBreakdown::loadNj);
+        chargeCycles(energy.probeLatency(MemLevel::L2));
         return true;
       case Policy::COracle:
       case Policy::Oracle:
@@ -247,10 +241,10 @@ AmnesicMachine::shouldRecompute(const Instruction &instr,
         // predictor instead of a probe — no probe energy or latency.
         // Training feedback is the observed residence (idealized for
         // recomputed instances; fallback loads observe it naturally).
-        bool predicted_miss = _predictor.predictMiss(e.pc());
+        bool predicted_miss = _predictor.predictMiss(pc());
         bool actual_miss = residence != MemLevel::L1;
         _predictor.account(predicted_miss, actual_miss);
-        _predictor.train(e.pc(), actual_miss);
+        _predictor.train(pc(), actual_miss);
         if (trace) {
             trace->predictorUsed = true;
             trace->predictedMiss = predicted_miss;
@@ -265,15 +259,14 @@ AmnesicMachine::TraverseResult
 AmnesicMachine::traverseSlice(const Instruction &rcmp, std::uint64_t addr)
 {
     TraverseResult result;
-    ExecutionEngine &e = engine();
-    const RSliceMeta &meta = e.program().slices[rcmp.sliceId];
+    const RSliceMeta &meta = program().slices[rcmp.sliceId];
     _sfile.beginSlice();
     _renamer.beginSlice();
 
     std::uint64_t root_value = 0;
     for (std::uint32_t spc = meta.entry; spc < meta.entry + meta.length;
          ++spc) {
-        const Instruction &si = e.program().code[spc];
+        const Instruction &si = program().code[spc];
         std::uint64_t in[2] = {0, 0};
         bool hist_read_done = false;
         int sources = numSources(si.op);
@@ -290,21 +283,21 @@ AmnesicMachine::traverseSlice(const Instruction &rcmp, std::uint64_t addr)
                 break;
               }
               case OperandSource::Live:
-                in[k] = e.readReg(reg);
+                in[k] = readReg(reg);
                 break;
               case OperandSource::Hist: {
                 const Hist::Entry *entry = _hist.lookup(spc);
                 if (!entry) {
                     // The leaf's producer has not run yet: Condition-II
                     // unmet, perform the load instead.
-                    ++e.mutableStats().histMissFallbacks;
+                    ++mutableStats().histMissFallbacks;
                     result.histMiss = true;
                     return result;
                 }
                 if (!hist_read_done) {
-                    e.chargeEnergy(e.energyModel().histAccessEnergy(),
-                                   &EnergyBreakdown::histReadNj);
-                    ++e.mutableStats().histReads;
+                    chargeEnergy(energyModel().histAccessEnergy(),
+                                 &EnergyBreakdown::histReadNj);
+                    ++mutableStats().histReads;
                     hist_read_done = true;
                 }
                 in[k] = entry->values[static_cast<std::size_t>(k)];
@@ -312,8 +305,7 @@ AmnesicMachine::traverseSlice(const Instruction &rcmp, std::uint64_t addr)
               }
             }
         }
-        std::uint64_t value = ExecutionEngine::evalAlu(si.op, in[0], in[1],
-                                                       si.imm);
+        std::uint64_t value = evalAlu(si.op, in[0], in[1], si.imm);
         // Fault surface: the value is corrupted *before* the SFile write,
         // so the flip propagates exactly like a scratch-file SEU —
         // through renamed reads and, at the root, into rd.
@@ -323,7 +315,7 @@ AmnesicMachine::traverseSlice(const Instruction &rcmp, std::uint64_t addr)
         if (!slot) {
             // §3.4 capacity overflow: poison the slice so later RCMPs
             // skip straight to the load.
-            ++e.mutableStats().sfileAborts;
+            ++mutableStats().sfileAborts;
             _failedSlices.insert(rcmp.sliceId);
             result.sfileOverflow = true;
             return result;
@@ -331,36 +323,35 @@ AmnesicMachine::traverseSlice(const Instruction &rcmp, std::uint64_t addr)
         _renamer.bind(si.rd, *slot);
         root_value = value;
 
-        e.chargeNonMemAt(spc);
-        ++e.mutableStats().dynInstrs;
-        ++e.mutableStats().perCategory[static_cast<std::size_t>(
-            e.decodedCategory(spc))];
-        ++e.mutableStats().recomputedInstrs;
+        chargeNonMemAt(spc);
+        ++mutableStats().dynInstrs;
+        ++mutableStats().perCategory[static_cast<std::size_t>(
+            decodedCategory(spc))];
+        ++mutableStats().recomputedInstrs;
         ++result.instrs;
     }
 
     // The closing RTN (§4: modeled after a jump).
-    e.chargeNonMem(InstrCategory::Rtn);
-    ++e.mutableStats().dynInstrs;
-    ++e.mutableStats().perCategory[static_cast<std::size_t>(
+    chargeNonMem(InstrCategory::Rtn);
+    ++mutableStats().dynInstrs;
+    ++mutableStats().perCategory[static_cast<std::size_t>(
         InstrCategory::Rtn)];
 
     // "Before return, the recomputed data value v gets copied into the
     // destination register of the eliminated load" (§3.3.2).
-    e.writeReg(rcmp.rd, root_value);
+    writeReg(rcmp.rd, root_value);
 
     if (_config.shadowCheck) {
-        ++e.mutableStats().recomputeChecked;
-        std::uint64_t expected = e.memRead(addr);
+        ++mutableStats().recomputeChecked;
+        std::uint64_t expected = memRead(addr);
         if (root_value != expected) {
-            ++e.mutableStats().recomputeMismatches;
+            ++mutableStats().recomputeMismatches;
             if (_trace)
-                _trace->onShadowMismatch(e.stats().cycles, e.pc(),
-                                         rcmp.sliceId, addr, root_value,
-                                         expected);
+                _trace->onShadowMismatch(stats().cycles, pc(), rcmp.sliceId,
+                                         addr, root_value, expected);
             if (_config.strictMismatch)
                 AMNESIAC_PANIC("recomputed value mismatch at pc " +
-                               std::to_string(e.pc()));
+                               std::to_string(pc()));
         }
     }
     result.completed = true;

@@ -139,7 +139,7 @@ struct AmnesicConfig
  * (src/testing). Callbacks fire at the two points where checkpoint and
  * recomputation state is written, letting an injector flip bits or
  * drop writes the way an SEU in the Hist/SFile SRAM would. Combined
- * with EngineFaultHook (src/sim) for stepping-granularity faults and
+ * with MachineFaultHook (src/sim) for stepping-granularity faults and
  * the Hist/SFile/MemoryHierarchy corrupt/erase/invalidate mutators,
  * this is the complete fault surface of the differential-fuzzing
  * harness. Implementations must only perturb *microarchitectural*
@@ -188,10 +188,10 @@ class AmnesicFaultHooks
  * is modeled); RTN copies the root value into the eliminated load's
  * destination register.
  *
- * Implementation-wise this is the ExecutionHooks strategy the shared
- * ExecutionEngine calls back into for amnesic opcodes — the §3.2
- * structures (SFile/Renamer/Hist/IBuff) live here, the interpreter
- * loop lives once in src/sim.
+ * Implementation-wise this is a Machine that installs itself as the
+ * ExecutionHooks the interpreter calls back into for amnesic opcodes —
+ * the §3.2 structures (SFile/Renamer/Hist/IBuff) live here, the
+ * interpreter loop lives once in src/sim.
  */
 class AmnesicMachine : public Machine, private ExecutionHooks
 {
@@ -225,24 +225,13 @@ class AmnesicMachine : public Machine, private ExecutionHooks
     /** Attach at most one fault hook (nullptr detaches). */
     void setFaultHooks(AmnesicFaultHooks *hooks) { _faults = hooks; }
 
-    /** Attach an engine-level fault hook (per-step granularity). */
-    void setEngineFaultHook(EngineFaultHook *hook)
-    {
-        engine().setFaultHook(hook);
-    }
-
-    /** Mutable Hist/SFile/hierarchy access for persistent-state
-     * corruption between steps. Never used by production paths. */
+    /** Mutable Hist/SFile access for persistent-state corruption
+     * between steps. Never used by production paths. */
     Hist &mutableHist() { return _hist; }
     SFile &mutableSFile() { return _sfile; }
-    MemoryHierarchy &mutableHierarchy()
-    {
-        return engine().mutableHierarchy();
-    }
 
   private:
-    void execAmnesic(ExecutionEngine &engine,
-                     const Instruction &instr) override;
+    void execAmnesic(Machine &machine, const Instruction &instr) override;
 
     /** Why a traversal stopped, plus how much of it ran (tracing). */
     struct TraverseResult

@@ -19,7 +19,7 @@ DryRunValidator::DryRunValidator(const std::vector<RSlice> &candidates)
 }
 
 void
-DryRunValidator::onExec(const ExecutionEngine &m, std::uint32_t pc,
+DryRunValidator::onExec(const Machine &m, std::uint32_t pc,
                         const Instruction &instr)
 {
     (void)instr;
@@ -40,7 +40,7 @@ DryRunValidator::onExec(const ExecutionEngine &m, std::uint32_t pc,
 }
 
 void
-DryRunValidator::onLoad(const ExecutionEngine &m, std::uint32_t pc,
+DryRunValidator::onLoad(const Machine &m, std::uint32_t pc,
                         std::uint64_t addr, std::uint64_t value,
                         MemLevel serviced)
 {

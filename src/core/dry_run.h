@@ -44,7 +44,7 @@ struct DryRunSiteResult
  * Observer implementing the validation pass over the *original*
  * (pre-rewrite) binary.
  */
-class DryRunValidator final : public MachineObserver
+class DryRunValidator final : public ExecutionObserver
 {
   public:
     /** @param candidates candidate slices, one per (distinct) load pc;
@@ -53,9 +53,9 @@ class DryRunValidator final : public MachineObserver
     explicit DryRunValidator(const std::vector<RSlice> &candidates);
     explicit DryRunValidator(std::vector<RSlice> &&) = delete;
 
-    void onExec(const ExecutionEngine &m, std::uint32_t pc,
+    void onExec(const Machine &m, std::uint32_t pc,
                 const Instruction &instr) override;
-    void onLoad(const ExecutionEngine &m, std::uint32_t pc, std::uint64_t addr,
+    void onLoad(const Machine &m, std::uint32_t pc, std::uint64_t addr,
                 std::uint64_t value, MemLevel serviced) override;
 
     /** Result for the candidate replacing the load at `load_pc`. */
@@ -85,7 +85,7 @@ class DryRunValidator final : public MachineObserver
  * Forwards one classic run to several validators, so a single replay
  * validates several candidate sets (AmnesicCompiler::compileSets).
  */
-class DryRunTee final : public MachineObserver
+class DryRunTee final : public ExecutionObserver
 {
   public:
     explicit DryRunTee(std::vector<DryRunValidator> &validators)
@@ -94,7 +94,7 @@ class DryRunTee final : public MachineObserver
     }
 
     void
-    onExec(const ExecutionEngine &m, std::uint32_t pc,
+    onExec(const Machine &m, std::uint32_t pc,
            const Instruction &instr) override
     {
         for (DryRunValidator &validator : *_validators)
@@ -102,7 +102,7 @@ class DryRunTee final : public MachineObserver
     }
 
     void
-    onLoad(const ExecutionEngine &m, std::uint32_t pc, std::uint64_t addr,
+    onLoad(const Machine &m, std::uint32_t pc, std::uint64_t addr,
            std::uint64_t value, MemLevel serviced) override
     {
         for (DryRunValidator &validator : *_validators)

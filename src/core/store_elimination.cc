@@ -5,7 +5,7 @@
 namespace amnesiac {
 
 void
-StoreProfiler::onStore(const ExecutionEngine &m, std::uint32_t pc,
+StoreProfiler::onStore(const Machine &m, std::uint32_t pc,
                        std::uint64_t addr, std::uint64_t value,
                        MemLevel serviced)
 {
@@ -25,7 +25,7 @@ StoreProfiler::onStore(const ExecutionEngine &m, std::uint32_t pc,
 }
 
 void
-StoreProfiler::onLoad(const ExecutionEngine &m, std::uint32_t pc,
+StoreProfiler::onLoad(const Machine &m, std::uint32_t pc,
                       std::uint64_t addr, std::uint64_t value,
                       MemLevel serviced)
 {

@@ -42,14 +42,14 @@ struct StoreSiteProfile
 };
 
 /** Observer collecting store→load consumption edges. */
-class StoreProfiler : public MachineObserver
+class StoreProfiler : public ExecutionObserver
 {
   public:
     explicit StoreProfiler(const EnergyModel &energy) : _energy(&energy) {}
 
-    void onStore(const ExecutionEngine &m, std::uint32_t pc, std::uint64_t addr,
+    void onStore(const Machine &m, std::uint32_t pc, std::uint64_t addr,
                  std::uint64_t value, MemLevel serviced) override;
-    void onLoad(const ExecutionEngine &m, std::uint32_t pc, std::uint64_t addr,
+    void onLoad(const Machine &m, std::uint32_t pc, std::uint64_t addr,
                 std::uint64_t value, MemLevel serviced) override;
 
     /** Profiles in ascending-pc order. */

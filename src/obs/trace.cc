@@ -136,7 +136,7 @@ AmnesicTracer::onShadowMismatch(std::uint64_t cycles, std::uint32_t pc,
 }
 
 void
-AmnesicTracer::onLoad(const ExecutionEngine &e, std::uint32_t pc,
+AmnesicTracer::onLoad(const Machine &e, std::uint32_t pc,
                       std::uint64_t addr, std::uint64_t value,
                       MemLevel serviced)
 {
@@ -152,7 +152,7 @@ AmnesicTracer::onLoad(const ExecutionEngine &e, std::uint32_t pc,
 }
 
 void
-AmnesicTracer::onStore(const ExecutionEngine &e, std::uint32_t pc,
+AmnesicTracer::onStore(const Machine &e, std::uint32_t pc,
                        std::uint64_t addr, std::uint64_t value,
                        MemLevel serviced)
 {

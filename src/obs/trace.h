@@ -2,7 +2,7 @@
  * @file
  * Structured event tracing for amnesic execution (the observability
  * layer's first pillar). An AmnesicTracer hangs off the machine's
- * AmnesicTraceHooks (and optionally the engine's ExecutionObserver for
+ * AmnesicTraceHooks (and optionally the machine's ExecutionObserver for
  * memory events) and buffers compact binary records; the buffer exports
  * as JSONL (one event object per line) or as Chrome trace-event JSON
  * that chrome://tracing and Perfetto load directly, one track per
@@ -121,9 +121,9 @@ class TraceBuffer
 
 /**
  * The tracer: implements the machine's AmnesicTraceHooks and the
- * engine's ExecutionObserver. Attach with attach() — the observer half
+ * machine's ExecutionObserver. Attach with attach() — the observer half
  * is only installed when memory tracing is requested, so the
- * per-instruction engine path stays free of extra virtual calls in the
+ * per-instruction interpreter path stays free of extra virtual calls in the
  * default configuration.
  */
 class AmnesicTracer : public AmnesicTraceHooks, public ExecutionObserver
@@ -167,10 +167,10 @@ class AmnesicTracer : public AmnesicTraceHooks, public ExecutionObserver
                           std::uint64_t expected) override;
 
     // --- ExecutionObserver (memory tracing) ---
-    void onLoad(const ExecutionEngine &e, std::uint32_t pc,
+    void onLoad(const Machine &e, std::uint32_t pc,
                 std::uint64_t addr, std::uint64_t value,
                 MemLevel serviced) override;
-    void onStore(const ExecutionEngine &e, std::uint32_t pc,
+    void onStore(const Machine &e, std::uint32_t pc,
                  std::uint64_t addr, std::uint64_t value,
                  MemLevel serviced) override;
 

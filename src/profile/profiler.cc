@@ -37,7 +37,7 @@ SiteProfile::stability() const
 Profiler::Profiler(const ProfilerConfig &config) : _config(config) {}
 
 void
-Profiler::onExec(const ExecutionEngine &m, std::uint32_t pc,
+Profiler::onExec(const Machine &m, std::uint32_t pc,
                  const Instruction &instr)
 {
     if (pc >= _execCounts.size())
@@ -61,7 +61,7 @@ Profiler::onExec(const ExecutionEngine &m, std::uint32_t pc,
 }
 
 void
-Profiler::onLoad(const ExecutionEngine &m, std::uint32_t pc, std::uint64_t addr,
+Profiler::onLoad(const Machine &m, std::uint32_t pc, std::uint64_t addr,
                  std::uint64_t value, MemLevel serviced)
 {
     _values.record(pc, value);
@@ -91,7 +91,7 @@ Profiler::onLoad(const ExecutionEngine &m, std::uint32_t pc, std::uint64_t addr,
 }
 
 void
-Profiler::onStore(const ExecutionEngine &m, std::uint32_t pc, std::uint64_t addr,
+Profiler::onStore(const Machine &m, std::uint32_t pc, std::uint64_t addr,
                   std::uint64_t value, MemLevel serviced)
 {
     (void)value;
@@ -118,7 +118,7 @@ sigMix(std::uint64_t h, std::uint64_t v)
  * different even though the buildable slice is identical.
  */
 std::uint64_t
-liveCutSignature(const ExecutionEngine &m, const DepTracker &tracker,
+liveCutSignature(const Machine &m, const DepTracker &tracker,
                  NodeId id, int depth_left, int &nodes_left)
 {
     if (id == kNoNode)
@@ -152,7 +152,7 @@ liveCutSignature(const ExecutionEngine &m, const DepTracker &tracker,
 }  // namespace
 
 void
-Profiler::analyzeTree(const ExecutionEngine &m, SiteProfile &site,
+Profiler::analyzeTree(const Machine &m, SiteProfile &site,
                       NodeId root)
 {
     int sig_nodes_left = _config.maxTreeNodes;
@@ -181,7 +181,7 @@ Profiler::analyzeTree(const ExecutionEngine &m, SiteProfile &site,
 }
 
 void
-Profiler::collectLiveStats(const ExecutionEngine &m, SiteProfile &site,
+Profiler::collectLiveStats(const Machine &m, SiteProfile &site,
                            NodeId id, int depth_left, int &nodes_left)
 {
     if (id == kNoNode || depth_left == 0 || nodes_left <= 0)

@@ -111,16 +111,16 @@ struct SiteProfile
  * Machine, run the program, then hand the result to the amnesic
  * compiler.
  */
-class Profiler : public MachineObserver
+class Profiler : public ExecutionObserver
 {
   public:
     explicit Profiler(const ProfilerConfig &config = {});
 
-    void onExec(const ExecutionEngine &m, std::uint32_t pc,
+    void onExec(const Machine &m, std::uint32_t pc,
                 const Instruction &instr) override;
-    void onLoad(const ExecutionEngine &m, std::uint32_t pc, std::uint64_t addr,
+    void onLoad(const Machine &m, std::uint32_t pc, std::uint64_t addr,
                 std::uint64_t value, MemLevel serviced) override;
-    void onStore(const ExecutionEngine &m, std::uint32_t pc, std::uint64_t addr,
+    void onStore(const Machine &m, std::uint32_t pc, std::uint64_t addr,
                  std::uint64_t value, MemLevel serviced) override;
 
     /** Profile of one load site (nullptr if the site never executed). */
@@ -150,9 +150,9 @@ class Profiler : public MachineObserver
     const DepTracker &tracker() const { return _tracker; }
 
   private:
-    void analyzeTree(const ExecutionEngine &m, SiteProfile &site,
+    void analyzeTree(const Machine &m, SiteProfile &site,
                      NodeId root);
-    void collectLiveStats(const ExecutionEngine &m, SiteProfile &site,
+    void collectLiveStats(const Machine &m, SiteProfile &site,
                           NodeId node, int depth_left, int &nodes_left);
 
     ProfilerConfig _config;

@@ -3,7 +3,7 @@
  * Predecoded program view: the per-static-instruction side-structure the
  * interpreter's fast path dispatches on.
  *
- * Decoding happens once per ExecutionEngine and folds away everything
+ * Decoding happens once per Machine and folds away everything
  * the seed interpreter recomputed per *dynamic* instruction: the
  * accounting category, the EnergyModel energy/latency switch lookups,
  * and the register-index validity checks. The run loop then dispatches
@@ -11,8 +11,8 @@
  *
  * Instructions the fast path must not touch (out-of-range register
  * operands, unknown opcode bytes) decode to DispatchKind::Generic and
- * are routed through ExecutionEngine::execOne, which reproduces the
- * engine's historical diagnostics exactly — predecoding never turns a
+ * are routed through Machine::execOne, which reproduces the
+ * machine's historical diagnostics exactly — predecoding never turns a
  * runtime fatal into a construction-time one.
  */
 
@@ -63,9 +63,9 @@ struct DecodedInstr
 };
 
 /**
- * The decoded side-structure. Built once from a Program, the engine's
+ * The decoded side-structure. Built once from a Program, the machine's
  * EnergyModel and its TimingModel (base latencies resolve through the
- * backend — src/timing); immutable afterwards (the engine's program is
+ * backend — src/timing); immutable afterwards (the machine's program is
  * immutable too, so the three can never diverge).
  */
 class DecodedProgram

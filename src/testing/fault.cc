@@ -48,7 +48,7 @@ void
 FaultInjector::attach(AmnesicMachine &machine)
 {
     machine.setFaultHooks(this);
-    machine.setEngineFaultHook(this);
+    machine.setFaultHook(this);
 }
 
 bool
@@ -164,8 +164,7 @@ FaultInjector::onSliceValue(std::uint32_t slice_pc, std::uint32_t,
 }
 
 void
-FaultInjector::onStep(ExecutionEngine &engine,
-                      std::uint64_t executed_instrs)
+FaultInjector::onStep(Machine &machine, std::uint64_t executed_instrs)
 {
     for (std::size_t i = 0; i < _plan.size(); ++i) {
         const FaultSpec &spec = _plan[i];
@@ -175,10 +174,10 @@ FaultInjector::onStep(ExecutionEngine &engine,
         if (spec.kind != FaultKind::CacheEvict ||
             executed_instrs < spec.trigger || alreadyFired(i))
             continue;
-        std::uint64_t words = engine.program().dataImage.size();
+        std::uint64_t words = machine.program().dataImage.size();
         AMNESIAC_ASSERT(words > 0, "CacheEvict needs data memory");
         std::uint64_t addr = _rng.nextBelow(words) * 8;
-        engine.mutableHierarchy().invalidateLine(addr);
+        machine.mutableHierarchy().invalidateLine(addr);
         record(i, executed_instrs, addr);
     }
 }

@@ -5,7 +5,7 @@
  * SFile/Hist entries, dropped or stale REC checkpoints, cache-line
  * invalidations), and a FaultInjector arms one plan against one
  * AmnesicMachine run through the production hook points
- * (AmnesicFaultHooks + EngineFaultHook). Every fault that actually
+ * (AmnesicFaultHooks + MachineFaultHook). Every fault that actually
  * fires is recorded in an injected-fault registry so the differential
  * oracle can attribute any observed divergence to a specific injected
  * event — a divergence with no registry entry is a bug, not a fault.
@@ -95,7 +95,7 @@ struct InjectedFault
  * randomness (CacheEvict's target address) flows through a dedicated
  * RNG stream seeded at construction. Use one injector per run.
  */
-class FaultInjector final : public AmnesicFaultHooks, public EngineFaultHook
+class FaultInjector final : public AmnesicFaultHooks, public MachineFaultHook
 {
   public:
     /**
@@ -127,9 +127,8 @@ class FaultInjector final : public AmnesicFaultHooks, public EngineFaultHook
     void onSliceValue(std::uint32_t slice_pc, std::uint32_t slice_id,
                       std::uint64_t &value) override;
 
-    // --- EngineFaultHook ---
-    void onStep(ExecutionEngine &engine,
-                std::uint64_t executed_instrs) override;
+    // --- MachineFaultHook ---
+    void onStep(Machine &machine, std::uint64_t executed_instrs) override;
 
   private:
     bool alreadyFired(std::size_t spec_index) const;

@@ -1,7 +1,7 @@
 /**
  * @file
  * Differential oracle of the fuzzing harness. One GenCase runs through
- * the classic engine once and through the amnesic engine under every
+ * the classic machine once and through the amnesic machine under every
  * requested policy; the oracle asserts the paper's transparency claim —
  * bit-identical architectural state and memory image — plus a battery
  * of energy/counter accounting invariants, and classifies every

@@ -49,7 +49,7 @@
 
 namespace amnesiac {
 
-/** Which timing backend an engine charges cycles with. */
+/** Which timing backend a machine charges cycles with. */
 enum class TimingBackend : std::uint8_t {
     Scalar,     ///< the historical in-order scalar model (golden)
     Pipelined,  ///< 5-stage in-order pipeline with hazard accounting
@@ -82,7 +82,7 @@ struct TimingConfig
 };
 
 /**
- * The cycle-accounting strategy of one ExecutionEngine. Two call
+ * The cycle-accounting strategy of one Machine. Two call
  * surfaces:
  *
  *  - Base-latency queries (instrLatency / loadLatency / storeLatency):
@@ -90,16 +90,16 @@ struct TimingConfig
  *    backends delegate to the EnergyModel's Table 3 latencies — that
  *    shared base is what makes the additive contract above exact.
  *    DecodedProgram resolves its pre-decoded latencies through these,
- *    and the engine's slow-path charges route here too.
+ *    and the machine's slow-path charges route here too.
  *
  *  - Retirement events (onRetire / onPipelineBreak): called by the
- *    engine as instructions retire so a backend can account hazards.
- *    The scalar backend ignores them (and the engine's scalar fast
+ *    machine as instructions retire so a backend can account hazards.
+ *    The scalar backend ignores them (and the machine's scalar fast
  *    path compiles the calls out entirely).
  *
- * A TimingModel is engine-local mutable state (predictor tables,
+ * A TimingModel is machine-local mutable state (predictor tables,
  * pending-load tracking); one instance must never be shared between
- * engines.
+ * machines.
  */
 class TimingModel
 {
@@ -198,7 +198,7 @@ class PipelinedTimingModel final : public TimingModel
     const Predictor &predictor() const { return *_predictor; }
 
     /** Register-read mask of a fast-path kind (bit 0 = rs1, bit 1 =
-     * rs2), mirroring exactly what the engine's dispatch cases read. */
+     * rs2), mirroring exactly what the machine's dispatch cases read. */
     static std::uint8_t readMask(DispatchKind kind)
     {
         switch (kind) {

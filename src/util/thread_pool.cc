@@ -117,6 +117,9 @@ parallelFor(ThreadPool *pool, std::size_t n,
     }
     for (std::size_t i = 0; i < n; ++i)
         pool->submit([&body, i] { body(i); });
+    // The caller only blocks from here on: record it as waiting, so the
+    // flame table does not count it as the enclosing span's self time.
+    ScopedSpan wait("pool:join-wait");
     pool->waitIdle();
 }
 

@@ -3,7 +3,7 @@
  * Experiment-pipeline tests pinned to the engine unification and
  * parallelization:
  *
- *  (a) classic stats produced by the unified ExecutionEngine match a
+ *  (a) classic stats produced by the unified interpreter match a
  *      golden snapshot captured from the pre-refactor (duplicated-loop)
  *      build for two mimic workloads — the refactor must be
  *      bit-invisible;
@@ -124,7 +124,7 @@ expectResultsIdentical(const BenchmarkResult &a, const BenchmarkResult &b)
 
 // Golden classic-execution snapshot, captured from the pre-refactor
 // build (separate Machine/AmnesicMachine interpreter loops) at the
-// default ExperimentConfig, seed 1. The unified engine must reproduce
+// default ExperimentConfig, seed 1. The unified interpreter must reproduce
 // it exactly; doubles are %.17g round-trips, compared bitwise.
 struct GoldenClassic
 {

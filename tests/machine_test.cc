@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <string>
 
 #include "isa/program_builder.h"
 #include "sim/machine.h"
@@ -138,20 +139,20 @@ TEST(Machine, DirtyEvictionChargesWriteback)
 
 TEST(Machine, ObserverSeesLoadsAndStores)
 {
-    struct Recorder : MachineObserver {
+    struct Recorder : ExecutionObserver {
         int execs = 0, loads = 0, stores = 0;
         std::uint64_t lastValue = 0;
         MemLevel lastLevel = MemLevel::L1;
-        void onExec(const ExecutionEngine &, std::uint32_t,
+        void onExec(const Machine &, std::uint32_t,
                     const Instruction &) override { ++execs; }
-        void onLoad(const ExecutionEngine &, std::uint32_t, std::uint64_t,
+        void onLoad(const Machine &, std::uint32_t, std::uint64_t,
                     std::uint64_t value, MemLevel level) override
         {
             ++loads;
             lastValue = value;
             lastLevel = level;
         }
-        void onStore(const ExecutionEngine &, std::uint32_t, std::uint64_t,
+        void onStore(const Machine &, std::uint32_t, std::uint64_t,
                      std::uint64_t, MemLevel) override { ++stores; }
     };
     ProgramBuilder b("observer");
@@ -187,6 +188,34 @@ TEST(Machine, StepInterface)
     EXPECT_FALSE(m.step());
 }
 
+/** Drive a machine until it halts, through run() or through step(). */
+void
+drive(Machine &m, bool stepwise)
+{
+    if (stepwise) {
+        while (m.step()) {
+        }
+    } else {
+        m.run();
+    }
+}
+
+/**
+ * Every fault kind is reported through one place, so it must die with
+ * the same message whether the fast run() loop or the step() path hits
+ * it. `message` is the fatal's text up to its source location.
+ */
+void
+expectFatalBothWays(const Program &p, const std::string &message)
+{
+    for (bool stepwise : {false, true}) {
+        Machine m(p, model());
+        EXPECT_EXIT(drive(m, stepwise), ::testing::ExitedWithCode(1),
+                    "\\[fatal\\] " + message + " \\(")
+            << (stepwise ? "step()" : "run()");
+    }
+}
+
 TEST(MachineDeath, ClassicMachineRejectsAmnesicOpcodes)
 {
     Program p;
@@ -194,19 +223,25 @@ TEST(MachineDeath, ClassicMachineRejectsAmnesicOpcodes)
     rtn.op = Opcode::Rtn;
     p.code.push_back(rtn);
     p.codeEnd = 1;
-    Machine m(p, model());
-    EXPECT_EXIT(m.run(), ::testing::ExitedWithCode(1), "amnesic");
+    expectFatalBothWays(p, "classic execution cannot handle amnesic "
+                           "opcode 'rtn'");
 }
 
 TEST(MachineDeath, UnalignedAccessIsFatal)
 {
-    ProgramBuilder b("unaligned");
-    b.allocWords(2);
-    b.li(1, 4);
-    b.ld(2, 1);
-    b.halt();
-    Machine m(b.finish(), model());
-    EXPECT_EXIT(m.run(), ::testing::ExitedWithCode(1), "unaligned");
+    ProgramBuilder load("unaligned-load");
+    load.allocWords(2);
+    load.li(1, 4);
+    load.ld(2, 1);
+    load.halt();
+    expectFatalBothWays(load.finish(), "unaligned 8-byte access at pc 1");
+
+    ProgramBuilder store("unaligned-store");
+    store.allocWords(2);
+    store.li(1, 4);
+    store.st(1, 0, 2);
+    store.halt();
+    expectFatalBothWays(store.finish(), "unaligned 8-byte access at pc 1");
 }
 
 TEST(MachineDeath, OutOfBoundsLoadIsFatal)
@@ -216,19 +251,33 @@ TEST(MachineDeath, OutOfBoundsLoadIsFatal)
     b.li(1, 64);
     b.ld(2, 1);
     b.halt();
-    Machine m(b.finish(), model());
-    EXPECT_EXIT(m.run(), ::testing::ExitedWithCode(1), "beyond data");
+    expectFatalBothWays(b.finish(),
+                        "load beyond data memory \\(addr 64\\)");
+}
+
+TEST(MachineDeath, OutOfBoundsStoreIsFatal)
+{
+    ProgramBuilder b("oob-store");
+    b.allocWords(1);
+    b.li(1, 64);
+    b.st(1, 0, 2);
+    b.halt();
+    expectFatalBothWays(b.finish(),
+                        "store beyond data memory \\(addr 64\\)");
 }
 
 TEST(MachineDeath, RunawayLoopHitsInstructionLimit)
 {
+    // The limit is run()'s runaway guard; step() has none.
     ProgramBuilder b("forever");
     auto top = b.newLabel();
     b.bind(top);
     b.jmp(top);
     b.halt();
     Machine m(b.finish(), model());
-    EXPECT_EXIT(m.run(1000), ::testing::ExitedWithCode(1), "limit");
+    EXPECT_EXIT(m.run(1000), ::testing::ExitedWithCode(1),
+                "\\[fatal\\] program 'forever' exceeded the instruction "
+                "limit — likely an infinite loop \\(");
 }
 
 }  // namespace

@@ -7,7 +7,8 @@
  *      "base detail/detail2", counters stick;
  *  (b) pool parentage — spans recorded by thread-pool workers form
  *      well-formed per-thread trees (parent precedes child, depth is
- *      parent's + 1) and the queue-wait/task instrumentation appears;
+ *      parent's + 1), the queue-wait/task instrumentation appears, and
+ *      parallelFor's barrier wait is a join-wait child of the caller;
  *  (c) the Chrome trace export is structurally valid JSON with the
  *      host pid and thread metadata;
  *  (d) flame-table aggregation buckets by base name and subtracts
@@ -22,10 +23,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/manifest.h"
@@ -215,6 +218,58 @@ TEST(SpanProfiler, PoolParentageWellFormed)
     for (const std::uint64_t count : u.queueWaitBuckets)
         bucketed += count;
     EXPECT_EQ(bucketed, u.jobsExecuted);
+}
+
+TEST(SpanProfiler, JoinWaitIsNotTheCallersSelfTime)
+{
+    SpanProfiler &profiler = SpanProfiler::instance();
+    profiler.enable();
+    {
+        ThreadPool pool(2);
+        ScopedSpan parent("join:parent");
+        parallelFor(&pool, 4, [](std::size_t) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        });
+    }
+    profiler.disable();
+
+    SpanProfiler::ThreadSpans caller;
+    for (const auto &thread : profiler.collect())
+        for (const SpanRecord &record : thread.spans)
+            if (std::string(record.name) == "join:parent")
+                caller = thread;
+    ASSERT_FALSE(caller.spans.empty());
+
+    // The barrier wait is a direct child of the span around parallelFor.
+    std::size_t parent = caller.spans.size();
+    std::size_t wait = caller.spans.size();
+    for (std::size_t i = 0; i < caller.spans.size(); ++i) {
+        const std::string name(caller.spans[i].name);
+        if (name == "join:parent")
+            parent = i;
+        if (name == "pool:join-wait" && caller.spans[i].parent == parent)
+            wait = i;
+    }
+    ASSERT_LT(wait, caller.spans.size());
+    const SpanRecord &wait_record = caller.spans[wait];
+    const double wait_sec =
+        static_cast<double>(wait_record.endNs - wait_record.startNs) * 1e-9;
+    // Two workers sleep through four 20 ms tasks: at least one task's
+    // sleep is spent blocked in the join.
+    EXPECT_GE(wait_sec, 0.02);
+
+    // The flame table charges that wait to pool:join-wait, not to the
+    // parent: the parent's self time is its total minus the wait.
+    std::size_t rows = 0;
+    for (const SpanAggregate &row : aggregateSpans({caller})) {
+        if (row.name != "join:parent")
+            continue;
+        ++rows;
+        EXPECT_EQ(row.count, 1u);
+        EXPECT_NEAR(row.selfSec, row.totalSec - wait_sec, 1e-9);
+        EXPECT_LT(row.selfSec, row.totalSec / 2);
+    }
+    EXPECT_EQ(rows, 1u);
 }
 
 /** Minimal structural JSON validation: balanced braces/brackets
