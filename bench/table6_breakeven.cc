@@ -6,11 +6,14 @@
  *
  * The paper's exact procedure is underspecified; we compile and fix the
  * binary (and the scheduler's decision model) at R_default, then sweep
- * the *charged* non-memory scale until the C-Oracle EDP gain vanishes
- * (see EXPERIMENTS.md for the discussion).
+ * the *charged* non-memory scale until the C-Oracle energy gain
+ * vanishes (see EXPERIMENTS.md for the discussion). The 11 searches
+ * run over `--jobs` workers; rows print in suite order.
  */
 
 #include <cstdio>
+#include <optional>
+#include <vector>
 
 #include "common.h"
 #include "util/table.h"
@@ -24,14 +27,24 @@ main(int argc, char **argv)
     ExperimentConfig config = args.config;
     bench::banner("Table 6: break-even R (normalized to R_default)",
                   config);
+    const ExperimentRunner runner(config);
     std::printf("R_default = EPI(int-alu) / EPI(DRAM load) = %.4f\n\n",
-                ExperimentRunner(config).energyModel().ratioR());
+                runner.energyModel().ratioR());
+    const std::vector<std::string> &names = paperBenchmarkNames();
+    std::vector<double> scales(names.size());
+    const unsigned jobs = runner.effectiveJobs();
+    std::optional<ThreadPool> pool;
+    if (jobs > 1)
+        pool.emplace(jobs);
+    parallelFor(pool ? &*pool : nullptr, names.size(), [&](std::size_t i) {
+        std::fprintf(stderr, "  [table6] %s...\n", names[i].c_str());
+        Workload w = makePaperBenchmark(names[i], args.seed);
+        scales[i] = breakEvenScale(w, config, Policy::COracle, 256.0);
+    });
     Table table({"Bench.", "Rbreakeven (normalized)"});
-    for (const std::string &name : paperBenchmarkNames()) {
-        std::fprintf(stderr, "  [table6] %s...\n", name.c_str());
-        Workload w = makePaperBenchmark(name, args.seed);
-        double k = breakEvenScale(w, config, Policy::COracle, 256.0);
-        table.row().cell(name);
+    for (std::size_t i = 0; i < names.size(); ++i) {
+        const double k = scales[i];
+        table.row().cell(names[i]);
         if (k >= 256.0)
             table.cell(std::string(">256"));
         else

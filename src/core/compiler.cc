@@ -113,94 +113,102 @@ AmnesicCompiler::compileSets(const Program &input,
     results[0].analysisSec += lap(0, "prune");
 
     // --- pass 1: dependence + residence profiling (§3.1.1, §4) ---
-    Profiler profile(prof_config);
-    {
-        ScopedSpan span("pass:profile", input.name);
-        Machine machine(input, _energy, _hierarchy);
-        machine.setObserver(&profile);
-        machine.run(run_limit);
-        const DepTracker &tracker = profile.tracker();
-        span.counter("walkNodes", profile.walkNodes());
-        span.counter("productions", tracker.productions());
-        span.counter("arenaNodes", tracker.arenaSize());
-        span.counter("freeNodes", tracker.freeCount());
-    }
-    results[0].profileSec = lap(0, "profile");
-
-    const std::vector<const SiteProfile *> sites = profile.sites();
-    // Global per-level residence distribution (the paper's Pr_Li model).
-    std::array<double, kNumMemLevels> global_pr{};
-    {
-        std::array<std::uint64_t, kNumMemLevels> by_level{};
-        std::uint64_t total = 0;
-        for (const SiteProfile *site : sites) {
-            for (std::size_t i = 0; i < kNumMemLevels; ++i)
-                by_level[i] += site->byLevel[i];
-            total += site->count;
-        }
-        for (std::size_t i = 0; i < kNumMemLevels; ++i)
-            global_pr[i] = total == 0
-                ? 0.0
-                : static_cast<double>(by_level[i]) /
-                      static_cast<double>(total);
-    }
-
-    CostModel cost(_energy);
+    // The profiler, and with it the dependence arena (hundreds of MB
+    // on the largest mimics), lives only until select: the dry run,
+    // rewrite and gate read nothing from it but the per-site counts
+    // select copies into each RSlice (`profCount`), and the tree
+    // representatives' NodeIds must not outlive the arena.
     std::vector<std::vector<RSlice>> candidates(n);
-    for (std::size_t k = 0; k < n; ++k) {
-        const CompilerConfig &config = configs[k];
-        CompileStats &stats = results[k].stats;
-        SliceBuilder builder(_energy, config.builder);
-        ScopedSpan select_span("pass:select", input.name);
-        for (const SiteProfile *site : sites) {
-            ++stats.sitesSeen;
-            stats.totalDynLoads += site->count;
-            if (site->count < config.minSiteCount) {
-                ++stats.rejectedCold;
-                continue;
-            }
-            // A site this configuration's pruner skipped has no trees
-            // in its own profile; the shared one may have analyzed it
-            // for another configuration.
-            const std::vector<std::uint8_t> &skip =
-                pruned[k].skipSiteAnalysis;
-            const bool skipped = site->pc < skip.size() && skip[site->pc];
-            if ((skipped ? 0.0 : site->stability()) <
-                config.stabilityThreshold) {
-                ++stats.rejectedUnstable;
-                continue;
-            }
-            double eld = config.globalResidenceModel
-                ? cost.loadEnergyFromDistribution(global_pr)
-                : cost.probabilisticLoadEnergy(*site);
-            // The Oracle set grows against the deepest budget and
-            // defers the economics to the runtime oracle (§5.1).
-            double budget = config.oracleSet
-                ? _energy.loadEnergy(MemLevel::Memory) : eld;
-            auto slice = skipped
-                ? std::optional<RSlice>()
-                : builder.build(*site, budget, profile, input);
-            if (!slice) {
-                ++stats.rejectedNoSlice;
-                continue;
-            }
-            slice->eldEstimate = eld;
-            if (!config.oracleSet &&
-                slice->ercEstimate >= config.profitabilityMargin * eld) {
-                ++stats.rejectedEnergy;
-                continue;
-            }
-            slice->profCount = site->count;
-            for (std::size_t i = 0; i < kNumMemLevels; ++i)
-                slice->profResidence[i] =
-                    site->prLevel(static_cast<MemLevel>(i));
-            slice->valueLocalityPct = profile.valueLocalityPercent(site->pc);
-            candidates[k].push_back(std::move(*slice));
+    {
+        Profiler profile(prof_config);
+        {
+            ScopedSpan span("pass:profile", input.name);
+            Machine machine(input, _energy, _hierarchy);
+            machine.setObserver(&profile);
+            machine.run(run_limit);
+            const DepTracker &tracker = profile.tracker();
+            span.counter("walkNodes", profile.walkNodes());
+            span.counter("productions", tracker.productions());
+            span.counter("arenaNodes", tracker.arenaSize());
+            span.counter("freeNodes", tracker.freeCount());
         }
-        select_span.counter("sitesSeen", stats.sitesSeen);
-        select_span.counter("candidates", candidates[k].size());
-        select_span.stop();
-        lap(k, "select");
+        results[0].profileSec = lap(0, "profile");
+
+        const std::vector<const SiteProfile *> sites = profile.sites();
+        // Global per-level residence distribution (the paper's Pr_Li model).
+        std::array<double, kNumMemLevels> global_pr{};
+        {
+            std::array<std::uint64_t, kNumMemLevels> by_level{};
+            std::uint64_t total = 0;
+            for (const SiteProfile *site : sites) {
+                for (std::size_t i = 0; i < kNumMemLevels; ++i)
+                    by_level[i] += site->byLevel[i];
+                total += site->count;
+            }
+            for (std::size_t i = 0; i < kNumMemLevels; ++i)
+                global_pr[i] = total == 0
+                    ? 0.0
+                    : static_cast<double>(by_level[i]) /
+                          static_cast<double>(total);
+        }
+
+        CostModel cost(_energy);
+        for (std::size_t k = 0; k < n; ++k) {
+            const CompilerConfig &config = configs[k];
+            CompileStats &stats = results[k].stats;
+            SliceBuilder builder(_energy, config.builder);
+            ScopedSpan select_span("pass:select", input.name);
+            for (const SiteProfile *site : sites) {
+                ++stats.sitesSeen;
+                stats.totalDynLoads += site->count;
+                if (site->count < config.minSiteCount) {
+                    ++stats.rejectedCold;
+                    continue;
+                }
+                // A site this configuration's pruner skipped has no trees
+                // in its own profile; the shared one may have analyzed it
+                // for another configuration.
+                const std::vector<std::uint8_t> &skip =
+                    pruned[k].skipSiteAnalysis;
+                const bool skipped = site->pc < skip.size() && skip[site->pc];
+                if ((skipped ? 0.0 : site->stability()) <
+                    config.stabilityThreshold) {
+                    ++stats.rejectedUnstable;
+                    continue;
+                }
+                double eld = config.globalResidenceModel
+                    ? cost.loadEnergyFromDistribution(global_pr)
+                    : cost.probabilisticLoadEnergy(*site);
+                // The Oracle set grows against the deepest budget and
+                // defers the economics to the runtime oracle (§5.1).
+                double budget = config.oracleSet
+                    ? _energy.loadEnergy(MemLevel::Memory) : eld;
+                auto slice = skipped
+                    ? std::optional<RSlice>()
+                    : builder.build(*site, budget, profile, input);
+                if (!slice) {
+                    ++stats.rejectedNoSlice;
+                    continue;
+                }
+                slice->eldEstimate = eld;
+                if (!config.oracleSet &&
+                    slice->ercEstimate >= config.profitabilityMargin * eld) {
+                    ++stats.rejectedEnergy;
+                    continue;
+                }
+                slice->profCount = site->count;
+                for (std::size_t i = 0; i < kNumMemLevels; ++i)
+                    slice->profResidence[i] =
+                        site->prLevel(static_cast<MemLevel>(i));
+                slice->valueLocalityPct =
+                    profile.valueLocalityPercent(site->pc);
+                candidates[k].push_back(std::move(*slice));
+            }
+            select_span.counter("sitesSeen", stats.sitesSeen);
+            select_span.counter("candidates", candidates[k].size());
+            select_span.stop();
+            lap(k, "select");
+        }
     }
 
     // --- pass 2: functional dry-run validation (DESIGN.md §5) ---
@@ -241,10 +249,8 @@ AmnesicCompiler::compileSets(const Program &input,
     for (std::size_t k = 0; k < n; ++k) {
         CompileResult &result = results[k];
         result.stats.selected = candidates[k].size();
-        for (const RSlice &slice : candidates[k]) {
-            const SiteProfile *site = profile.site(slice.loadPc);
-            result.stats.coveredDynLoads += site ? site->count : 0;
-        }
+        for (const RSlice &slice : candidates[k])
+            result.stats.coveredDynLoads += slice.profCount;
 
         // --- pass 3: rewrite (§3.1.2) ---
         {

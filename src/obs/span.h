@@ -83,8 +83,7 @@ struct SpanRecord
 
     struct Counter
     {
-        char key[15] = {};  ///< NUL-terminated, truncated copy
-        std::uint8_t pad = 0;
+        char key[16] = {};  ///< NUL-terminated, truncated copy
         std::uint64_t value = 0;
     };
     Counter counters[kMaxSpanCounters];

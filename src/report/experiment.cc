@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
+#include <limits>
 #include <optional>
 
 #include "analysis/analyzer.h"
@@ -439,54 +441,197 @@ ExperimentRunner::runMany(const std::vector<Workload> &workloads,
     return results;
 }
 
+// Why the affine replay in breakEvenScale returns exactly what
+// simulating every probe returns.
+//
+// With the decision model pinned, a run at scale s executes the same
+// instruction stream and makes the same charges for every s. Memory-
+// side charges are the same doubles at every scale; each non-memory
+// charge is fl(c·s) for a configured EPI c (instrEnergyRef). Let E(s)
+// be the exact sum of the unrounded charges. Then E(s) = M + s·C is
+// affine, so with r = s/s0
+//
+//   (1)  E(s) = (2 − r)·E(s0) + (r − 1)·E(2·s0).
+//
+// A simulation returns Ê(s): the charges summed in doubles into four
+// buckets, which energyNj() adds up. Let n = energyRoundings(stats)
+// (below), u = 2^-53 and γ = n·u/(1 − n·u). Every charge is
+// non-negative, and each passes through at most n roundings (its own
+// product, then at most n − 1 additions), so the standard summation
+// bound gives
+//
+//   (2)  |Ê(s) − E(s)| ≤ γ·E(s).
+//
+// The replay predicts P(r) = Ê(s0) + (r − 1)·(Ê(2s0) − Ê(s0)), which
+// in exact arithmetic is (2 − r)·Ê(s0) + (r − 1)·Ê(2s0). Let
+// F = |2 − r| + |r − 1| ≥ 1 and Emax = max(Ê(s0), Ê(2s0)). From (1)
+// and (2), E(s0) and E(2s0) are at most Emax/(1 − γ), hence
+//
+//   |P(r) − E(s)| ≤ F·γ·Emax/(1 − γ),   and, as E(s) ≤ F·Emax/(1 − γ),
+//   |Ê(s) − E(s)| ≤ F·γ·Emax/(1 − γ).
+//
+// Evaluating P in doubles (r = fl(s/s0), then a subtract, a multiply
+// and an add) costs at most another 6u·F·Emax; 8u is used. Together:
+//
+//   (3)  |Ê(s) − P̂(r)| ≤ F·Emax·(2γ/(1 − γ) + 8u)  = roundingBound(r).
+//
+// The search reads only the sign of the energy gain. If the predicted
+// gap Pc − Pa exceeds the classic plus the amnesic bound (3) in
+// magnitude, the simulated gap Ĉ(s) − Â(s) has its sign.
+// affineGapSign compares against twice that sum, which absorbs the
+// rounding of r, of the bounds' own arithmetic and of the subtraction
+// Pc − Pa (all relative errors of a few u). Energies are non-negative,
+// so gainPercent(c, a) > 0 exactly when c > a. Inside the margin the
+// search simulates the probe. (Slice instructions are charged one by
+// one and counted in dynInstrs; the per-slice sums the machine
+// precomputes only feed traces, so they add no term of their own.)
+
+namespace {
+
+constexpr double kUnitRoundoff =
+    std::numeric_limits<double>::epsilon() / 2.0;
+
+/** n for (2): a bound on the roundings `stats.energyNj()` went
+ * through. A load or store charges itself plus up to two write-backs;
+ * a slice instruction itself plus one Hist read; an RCMP itself, a
+ * probe, and a fallback load with its write-backs. The buckets' total
+ * adds three more. */
+std::uint64_t
+energyRoundings(const SimStats &stats)
+{
+    return 3 * stats.dynInstrs + 2 * stats.rcmpSeen + 3;
+}
+
+}  // namespace
+
+AffineEnergy
+AffineEnergy::through(const SimStats &at_s0, const SimStats &at_2s0)
+{
+    AMNESIAC_ASSERT(at_s0.dynInstrs == at_2s0.dynInstrs &&
+                        at_s0.rcmpSeen == at_2s0.rcmpSeen,
+                    "break-even: the instruction stream changed with the "
+                    "charged scale");
+    return {at_s0.energyNj(), at_2s0.energyNj(), energyRoundings(at_s0)};
+}
+
+double
+AffineEnergy::predict(double r) const
+{
+    return atS0 + (r - 1.0) * (at2S0 - atS0);
+}
+
+double
+AffineEnergy::roundingBound(double r) const
+{
+    // γ/(1 − γ) = n·u/(1 − 2·n·u); past n·u = 1/2 nothing is bounded.
+    const double nu = static_cast<double>(terms) * kUnitRoundoff;
+    if (!(nu < 0.5))
+        return std::numeric_limits<double>::infinity();
+    const double extrapolation = std::abs(2.0 - r) + std::abs(r - 1.0);
+    return extrapolation * std::max(atS0, at2S0) *
+           (2.0 * nu / (1.0 - 2.0 * nu) + 8.0 * kUnitRoundoff);
+}
+
+int
+affineGapSign(const AffineEnergy &classic, const AffineEnergy &amnesic,
+              double r)
+{
+    const double gap = classic.predict(r) - amnesic.predict(r);
+    const double margin =
+        2.0 * (classic.roundingBound(r) + amnesic.roundingBound(r));
+    if (gap > margin)
+        return 1;
+    if (gap < -margin)
+        return -1;
+    return 0;  // also when the margin is +∞
+}
+
 double
 breakEvenScale(const Workload &workload, const ExperimentConfig &config,
                Policy policy, double max_scale)
 {
-    // Compile once at the default scale: the binary (slice set) is an
-    // artifact of today's technology point.
-    ExperimentRunner base(config);
+    ScopedSpan span("breakeven", workload.name);
+    std::uint64_t probes = 0;
+    std::uint64_t pairs = 0;
+    std::uint64_t fallbacks = 0;
+    auto finish = [&](double scale) {
+        span.counter("probes", probes);
+        span.counter("simulated_pairs", pairs);
+        span.counter("fallbacks", fallbacks);
+        return scale;
+    };
+
+    // Compile once at the configured scale: the binary (slice set) is
+    // an artifact of today's technology point.
+    const double s0 = config.energy.nonMemScale;
     CompilerConfig compiler_config = config.compiler;
     compiler_config.oracleSet = needsOracleSet(policy);
     compiler_config.runLimit = config.runLimit;
-    AmnesicCompiler compiler(base.energyModel(), config.hierarchy,
+    AmnesicCompiler compiler(EnergyModel(config.energy), config.hierarchy,
                              compiler_config);
     CompileResult compiled = compiler.compile(workload.program);
     if (compiled.slices.empty())
-        return 1.0;  // nothing to trade: break-even is immediate
+        return finish(s0);  // nothing to trade: break-even is immediate
 
-    auto gain_at = [&](double scale) {
+    struct Pair
+    {
+        SimStats classic;
+        SimStats amnesic;
+
+        // The crossing is searched on the *energy* gain: recomputation
+        // keeps its latency advantage at any R in this model, so an
+        // EDP-based crossing need not exist (see EXPERIMENTS.md).
+        bool gains() const
+        {
+            return gainPercent(classic.energyNj(), amnesic.energyNj()) >
+                   0.0;
+        }
+    };
+    auto simulate = [&](double scale) {
         ExperimentConfig scaled = config;
         scaled.energy.nonMemScale = scale;
         // Pin the scheduler's decision model to the compile-time scale
         // so only the energy bill changes with R.
-        scaled.amnesic.decisionNonMemScale = config.energy.nonMemScale;
+        scaled.amnesic.decisionNonMemScale = s0;
         ExperimentRunner runner(scaled);
-        SimStats classic = runner.runClassic(workload.program);
-        SimStats amnesic = runner.runAmnesic(compiled.program, policy);
-        // The crossing is searched on the *energy* gain: recomputation
-        // keeps its latency advantage at any R in this model, so an
-        // EDP-based crossing need not exist (see EXPERIMENTS.md).
-        return gainPercent(classic.energyNj(), amnesic.energyNj());
+        ++pairs;
+        return Pair{runner.runClassic(workload.program),
+                    runner.runAmnesic(compiled.program, policy)};
+    };
+    ++probes;
+    const Pair at_s0 = simulate(s0);
+    if (!at_s0.gains())
+        return finish(s0);
+    const Pair at_2s0 = simulate(2.0 * s0);
+    const AffineEnergy classic =
+        AffineEnergy::through(at_s0.classic, at_2s0.classic);
+    const AffineEnergy amnesic =
+        AffineEnergy::through(at_s0.amnesic, at_2s0.amnesic);
+    auto gains_at = [&](double scale) {
+        ++probes;
+        if (scale == 2.0 * s0)
+            return at_2s0.gains();
+        if (int sign = affineGapSign(classic, amnesic, scale / s0))
+            return sign > 0;
+        ++fallbacks;
+        return simulate(scale).gains();
     };
 
     // Exponential bracket, then bisection on the sign change.
-    double lo = config.energy.nonMemScale;
-    if (gain_at(lo) <= 0.0)
-        return lo;
+    double lo = s0;
     double hi = lo * 2.0;
-    while (hi < max_scale && gain_at(hi) > 0.0)
+    while (hi < max_scale && gains_at(hi))
         hi *= 2.0;
-    if (hi >= max_scale && gain_at(max_scale) > 0.0)
-        return max_scale;
+    if (hi >= max_scale && gains_at(max_scale))
+        return finish(max_scale);
     for (int iter = 0; iter < 12; ++iter) {
         double mid = 0.5 * (lo + hi);
-        if (gain_at(mid) > 0.0)
+        if (gains_at(mid))
             lo = mid;
         else
             hi = mid;
     }
-    return 0.5 * (lo + hi);
+    return finish(0.5 * (lo + hi));
 }
 
 }  // namespace amnesiac

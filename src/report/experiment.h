@@ -174,15 +174,59 @@ class ExperimentRunner
 };
 
 /**
+ * One energy of the break-even search (classic or amnesic), simulated
+ * at the two anchor scales s0 and 2·s0. With the scheduler's decision
+ * model pinned, the energy is affine in the non-memory scale up to
+ * floating-point rounding (derivation in experiment.cc).
+ */
+struct AffineEnergy
+{
+    double atS0 = 0.0;   ///< simulated energy at s0, nJ
+    double at2S0 = 0.0;  ///< simulated energy at 2·s0, nJ
+    /** Bound on the roundings one simulated total went through. */
+    std::uint64_t terms = 0;
+
+    /** The line through two runs of one binary at s0 and 2·s0: their
+     * totals, and their common term count. */
+    static AffineEnergy through(const SimStats &at_s0,
+                                const SimStats &at_2s0);
+
+    /** The energy at scale r·s0, extrapolated from the anchors. */
+    double predict(double r) const;
+    /** Worst-case |simulated energy at r·s0 − predict(r)| from
+     * rounding alone; grows with `terms` and away from r ∈ [1, 2]. */
+    double roundingBound(double r) const;
+};
+
+/**
+ * Sign of (classic − amnesic) energy at scale r·s0 when the affine
+ * prediction settles it despite rounding: +1 (amnesic execution
+ * gains), −1 (it loses), or 0 when the predicted gap is within twice
+ * the two rounding bounds and only a simulation can tell.
+ */
+int affineGapSign(const AffineEnergy &classic, const AffineEnergy &amnesic,
+                  double r);
+
+/**
  * Table 6 break-even search (§5.5): smallest non-memory EPI scale at
  * which the amnesic *energy* gain vanishes. The binary is compiled once
- * at the default scale; the charged model is swept while the
+ * at the configured scale s0; the charged model is swept while the
  * scheduler's decision model stays pinned. (The paper's procedure is
  * underspecified and its EDP-based crossing need not exist in this
  * model because recomputation keeps its latency advantage at any R —
  * see EXPERIMENTS.md.)
+ *
+ * The search is an exponential bracket from s0 followed by 12
+ * bisection steps on the sign of the gain. Pinning the decisions makes
+ * both energies affine in the scale, so only two classic + amnesic
+ * simulation pairs run, at s0 and 2·s0 (the second only if the gain at
+ * s0 is positive). Every other probe reads its sign off the affine
+ * prediction, and simulates its own pair only when the predicted gap
+ * is within the worst-case rounding error (affineGapSign). The result
+ * is therefore the one simulating every probe gives, bit for bit.
  * @param policy runtime policy to evaluate (the paper names C-Oracle)
  * @param max_scale search cap; returns max_scale if no crossing below
+ * @return s0 when the binary has no slices or gains nothing at s0
  */
 double breakEvenScale(const Workload &workload,
                       const ExperimentConfig &config,
