@@ -1,12 +1,12 @@
 /**
  * @file
- * Shared plumbing for the per-table/figure benchmark harnesses: builds
- * the 11-benchmark suite, runs the §5 pipeline (fanned out over the
- * experiment thread pool), parses the command-line knobs every harness
- * shares — including the observability outputs (--trace /
- * --site-report / --metrics) and the host-side span profiler
- * (--prof / --prof-out / --prof-report) — and prints the Table 3
- * configuration echo every harness leads with.
+ * Shared plumbing for the bench harnesses (the paper driver and the
+ * ablations): builds the 11-benchmark suite, runs the §5 pipeline
+ * (fanned out over the experiment thread pool), parses the
+ * command-line knobs every harness shares — including the
+ * observability outputs (--trace / --site-report / --metrics) and the
+ * host-side span profiler (--prof / --prof-out / --prof-report) — and
+ * prints the Table 3 configuration echo every harness leads with.
  */
 
 #ifndef AMNESIAC_BENCH_COMMON_H
@@ -19,6 +19,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -51,11 +53,43 @@ inline void writeArtifact(const std::string &path,
                           const std::string &content);
 
 /**
+ * `text` as a decimal integer no larger than `max`, or nullopt unless
+ * all of it parses: "--jobs x" is a typo, not a request for the
+ * default, and "--jobs 4294967297" must not wrap to 1.
+ */
+inline std::optional<std::uint64_t>
+parseNumber(const std::string &text,
+            std::uint64_t max = std::numeric_limits<std::uint64_t>::max())
+{
+    char *end = nullptr;
+    errno = 0;
+    const std::uint64_t v = std::strtoull(text.c_str(), &end, 10);
+    // A leading digit rules out the sign and blanks strtoull would
+    // accept.
+    if (!std::isdigit(static_cast<unsigned char>(text[0])) ||
+        *end != '\0' || errno == ERANGE || v > max)
+        return std::nullopt;
+    return v;
+}
+
+/** `text` as a finite real, or nullopt unless all of it parses. */
+inline std::optional<double>
+parseReal(const std::string &text)
+{
+    char *end = nullptr;
+    const double v = std::strtod(text.c_str(), &end);
+    if (text.empty() || *end != '\0' || !std::isfinite(v))
+        return std::nullopt;
+    return v;
+}
+
+/**
  * Turn on the host-side span profiler and register an exit-time writer
  * for its artifacts: the Chrome trace to `profOutPath` (if set) and the
  * flame table to `profReportPath` (if set) or stderr otherwise. Writing
  * at exit keeps the instrumentation window maximal — teardown included
- * — and spares the 21 harness mains from any per-harness plumbing.
+ * — and spares its ten callers (the paper driver, the seven ablations,
+ * amnesiac-run and amnesiac-trace) any plumbing of their own.
  * No-op unless profiling was requested.
  */
 inline void
@@ -153,35 +187,29 @@ parseArgs(int argc, char **argv)
             }
             return argv[++i];
         };
-        // Numeric values must parse in full: "--jobs x" is a typo, not
-        // a request for the default.
         auto reject = [&](const std::string &text) {
             std::fprintf(stderr, "%s: bad value '%s' for %s\n", argv[0],
                          text.c_str(), arg.c_str());
             usage();
         };
-        auto number = [&]() -> std::uint64_t {
-            std::string text = next();
-            char *end = nullptr;
-            errno = 0;
-            std::uint64_t v = std::strtoull(text.c_str(), &end, 10);
-            // A leading digit rules out the sign and blanks strtoull
-            // would accept.
-            if (!std::isdigit(static_cast<unsigned char>(text[0])) ||
-                *end != '\0' || errno == ERANGE)
+        auto number = [&](std::uint64_t max =
+                              std::numeric_limits<std::uint64_t>::max()) {
+            const std::string text = next();
+            const std::optional<std::uint64_t> v = parseNumber(text, max);
+            if (!v)
                 reject(text);
-            return v;
+            return *v;
         };
-        auto real = [&]() -> double {
-            std::string text = next();
-            char *end = nullptr;
-            double v = std::strtod(text.c_str(), &end);
-            if (text.empty() || *end != '\0' || !std::isfinite(v))
+        auto real = [&]() {
+            const std::string text = next();
+            const std::optional<double> v = parseReal(text);
+            if (!v)
                 reject(text);
-            return v;
+            return *v;
         };
         if (arg == "--jobs") {
-            args.config.jobs = static_cast<unsigned>(number());
+            args.config.jobs = static_cast<unsigned>(
+                number(std::numeric_limits<unsigned>::max()));
         } else if (arg == "--cache-dir") {
             args.config.cacheDir = next();
         } else if (arg == "--no-cache") {
@@ -237,9 +265,9 @@ parseArgs(int argc, char **argv)
 }
 
 /**
- * Harnesses that sweep many configurations (the ablations, Table 6)
- * have no single result set to export, so the shared observability
- * flags cannot be honored there. Asking for one must fail loudly — a
+ * Harnesses that sweep many configurations (the ablations) have no
+ * single result set to export, so the shared observability flags
+ * cannot be honored there. Asking for one must fail loudly — a
  * requested artifact that silently never appears is worse than an
  * error.
  */
@@ -312,32 +340,21 @@ writeObsArtifacts(const BenchArgs &args,
 }
 
 /** Run every paper benchmark through the given policies, fanned out
- * over `config.jobs` workers (results are merged in suite order and
- * are bit-identical to a serial run). */
-inline std::vector<BenchmarkResult>
-runSuite(const ExperimentConfig &config,
-         const std::vector<Policy> &policies =
-             {kAllPolicies, kAllPolicies + std::size(kAllPolicies)},
-         std::uint64_t seed = 1)
-{
-    ExperimentRunner runner(config);
-    std::vector<Workload> workloads;
-    for (const std::string &name : paperBenchmarkNames()) {
-        std::fprintf(stderr, "  [suite] %s...\n", name.c_str());
-        workloads.push_back(makePaperBenchmark(name, seed));
-    }
-    return runner.runMany(workloads, policies);
-}
-
-/** runSuite with the parsed harness arguments (config + seed), writing
- * any requested observability artifacts before returning. */
+ * over `args.config.jobs` workers (results are merged in suite order
+ * and are bit-identical to a serial run), and write any requested
+ * observability artifacts before returning. */
 inline std::vector<BenchmarkResult>
 runSuite(const BenchArgs &args,
          const std::vector<Policy> &policies =
              {kAllPolicies, kAllPolicies + std::size(kAllPolicies)})
 {
+    std::vector<Workload> workloads;
+    for (const std::string &name : paperBenchmarkNames()) {
+        std::fprintf(stderr, "  [suite] %s...\n", name.c_str());
+        workloads.push_back(makePaperBenchmark(name, args.seed));
+    }
     std::vector<BenchmarkResult> results =
-        runSuite(args.config, policies, args.seed);
+        ExperimentRunner(args.config).runMany(workloads, policies);
     writeObsArtifacts(args, results);
     return results;
 }

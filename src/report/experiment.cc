@@ -51,6 +51,12 @@ BenchmarkResult::byPolicy(Policy policy) const
     return it == policies.end() ? nullptr : &*it;
 }
 
+const CompileResult &
+BenchmarkResult::compiledFor(Policy policy) const
+{
+    return needsOracleSet(policy) ? oracleCompiled : compiled;
+}
+
 ExperimentRunner::ExperimentRunner(const ExperimentConfig &config)
     : _config(config)
 {
@@ -291,8 +297,7 @@ ExperimentRunner::runPolicy(const BenchmarkResult &prepared,
     ScopedSpan span("simulate", prepared.name, policyName(policy));
     WallClock::time_point start = WallClock::now();
     EnergyModel energy = energyModel();
-    const Program &binary = needsOracleSet(policy)
-        ? prepared.oracleCompiled.program : prepared.compiled.program;
+    const Program &binary = prepared.compiledFor(policy).program;
     PolicyOutcome outcome;
     outcome.policy = policy;
 
@@ -550,6 +555,22 @@ double
 breakEvenScale(const Workload &workload, const ExperimentConfig &config,
                Policy policy, double max_scale)
 {
+    // Compile once at the configured scale: the binary (slice set) is
+    // an artifact of today's technology point.
+    CompilerConfig compiler_config = config.compiler;
+    compiler_config.oracleSet = needsOracleSet(policy);
+    compiler_config.runLimit = config.runLimit;
+    AmnesicCompiler compiler(EnergyModel(config.energy), config.hierarchy,
+                             compiler_config);
+    return breakEvenScale(workload, compiler.compile(workload.program),
+                          config, policy, max_scale);
+}
+
+double
+breakEvenScale(const Workload &workload, const CompileResult &compiled,
+               const ExperimentConfig &config, Policy policy,
+               double max_scale)
+{
     ScopedSpan span("breakeven", workload.name);
     std::uint64_t probes = 0;
     std::uint64_t pairs = 0;
@@ -561,15 +582,7 @@ breakEvenScale(const Workload &workload, const ExperimentConfig &config,
         return scale;
     };
 
-    // Compile once at the configured scale: the binary (slice set) is
-    // an artifact of today's technology point.
     const double s0 = config.energy.nonMemScale;
-    CompilerConfig compiler_config = config.compiler;
-    compiler_config.oracleSet = needsOracleSet(policy);
-    compiler_config.runLimit = config.runLimit;
-    AmnesicCompiler compiler(EnergyModel(config.energy), config.hierarchy,
-                             compiler_config);
-    CompileResult compiled = compiler.compile(workload.program);
     if (compiled.slices.empty())
         return finish(s0);  // nothing to trade: break-even is immediate
 

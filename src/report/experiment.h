@@ -109,6 +109,11 @@ struct BenchmarkResult
 
     /** Outcome of one policy (nullptr if it was not run). */
     const PolicyOutcome *byPolicy(Policy policy) const;
+
+    /** The slice set `policy` runs: `oracleCompiled` for Oracle,
+     * `compiled` (the probabilistic set) for every other policy,
+     * C-Oracle included. */
+    const CompileResult &compiledFor(Policy policy) const;
 };
 
 /**
@@ -224,11 +229,27 @@ int affineGapSign(const AffineEnergy &classic, const AffineEnergy &amnesic,
  * prediction, and simulates its own pair only when the predicted gap
  * is within the worst-case rounding error (affineGapSign). The result
  * is therefore the one simulating every probe gives, bit for bit.
+ *
+ * This overload compiles `workload` for `policy` at s0 and delegates
+ * to the one below.
  * @param policy runtime policy to evaluate (the paper names C-Oracle)
  * @param max_scale search cap; returns max_scale if no crossing below
  * @return s0 when the binary has no slices or gains nothing at s0
  */
 double breakEvenScale(const Workload &workload,
+                      const ExperimentConfig &config,
+                      Policy policy = Policy::COracle,
+                      double max_scale = 256.0);
+
+/**
+ * The break-even search on an already-compiled binary; it runs only
+ * the simulations. `compiled` must be `workload` compiled under
+ * `config` for `policy`, e.g. `BenchmarkResult::compiledFor(policy)`
+ * of a run with the same config, which makes the result equal the
+ * overload above.
+ */
+double breakEvenScale(const Workload &workload,
+                      const CompileResult &compiled,
                       const ExperimentConfig &config,
                       Policy policy = Policy::COracle,
                       double max_scale = 256.0);

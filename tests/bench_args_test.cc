@@ -2,7 +2,8 @@
  * @file
  * Tests for the command-line parser shared by the bench harnesses
  * (bench/common.h): well-formed values parse, and a numeric flag whose
- * value does not parse in full exits with the usage message.
+ * value does not parse in full, or does not fit, exits with the usage
+ * message. No case here starts a run.
  */
 
 #include <string>
@@ -34,6 +35,11 @@ TEST(BenchArgs, ParsesNumericFlags)
     EXPECT_EQ(args.config.seed, 7919u);
     EXPECT_DOUBLE_EQ(args.config.energy.nonMemScale, 2.5);
     EXPECT_EQ(args.config.traceMaxRecords, 100u);
+
+    // The largest values that fit; parsing starts no run.
+    args = parse({"--jobs", "4294967295", "--seed", "18446744073709551615"});
+    EXPECT_EQ(args.config.jobs, 4294967295u);
+    EXPECT_EQ(args.seed, 18446744073709551615u);
 }
 
 TEST(BenchArgs, RejectsNonNumericValues)
@@ -49,6 +55,11 @@ TEST(BenchArgs, RejectsNonNumericValues)
         {"--scale", ""},
         {"--scale", "nan"},
         {"--max-records", "10k"},
+        {"--seed", "18446744073709551616"},
+        // Fits in 64 bits but not in the unsigned worker count; it
+        // used to truncate to 1.
+        {"--jobs", "4294967297"},
+        {"--jobs=4294967296"},
     };
     for (const std::vector<std::string> &args : bad) {
         EXPECT_EXIT(parse(args), ::testing::ExitedWithCode(2),

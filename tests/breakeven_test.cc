@@ -14,6 +14,7 @@
 #include "report/experiment.h"
 #include "util/thread_pool.h"
 #include "workloads/kernels.h"
+#include "workloads/paper_suite.h"
 #include "workloads/registry.h"
 
 namespace amnesiac {
@@ -70,25 +71,42 @@ perProbeBreakEvenScale(const Workload &workload,
 }
 
 /** Both searches over the whole registry at seed 1, fanned over a
- * small pool, compared with == on the doubles. */
+ * small pool, compared with == on the doubles. For the paper mimics,
+ * the search on the experiment matrix's C-Oracle binary
+ * (compiledFor) must return the same. */
 void
 expectSearchesAgree(double s0)
 {
     ExperimentConfig config;
     config.energy.nonMemScale = s0;
+    config.jobs = std::min(4u, ThreadPool::defaultThreadCount());
     const std::vector<std::string> names = registeredWorkloads();
+    const std::vector<BenchmarkResult> matrix =
+        ExperimentRunner(config).runMany(makePaperSuite(1),
+                                         {Policy::COracle});
+    ASSERT_LE(matrix.size(), names.size());
     std::vector<double> per_probe(names.size());
     std::vector<double> affine(names.size());
-    ThreadPool pool(std::min(4u, ThreadPool::defaultThreadCount()));
+    std::vector<double> precompiled(matrix.size());
+    ThreadPool pool(config.jobs);
     parallelFor(&pool, names.size(), [&](std::size_t i) {
         const Workload workload = makeWorkload(names[i], 1);
         per_probe[i] = perProbeBreakEvenScale(workload, config,
                                               Policy::COracle, 256.0);
         affine[i] = breakEvenScale(workload, config, Policy::COracle, 256.0);
+        if (i < matrix.size())
+            precompiled[i] = breakEvenScale(
+                workload, matrix[i].compiledFor(Policy::COracle), config,
+                Policy::COracle, 256.0);
     });
     for (std::size_t i = 0; i < names.size(); ++i)
         EXPECT_EQ(affine[i], per_probe[i])
             << names[i] << " at s0 = " << s0;
+    for (std::size_t i = 0; i < matrix.size(); ++i) {
+        ASSERT_EQ(matrix[i].name, names[i]);
+        EXPECT_EQ(precompiled[i], affine[i])
+            << names[i] << " on the matrix's binary at s0 = " << s0;
+    }
 }
 
 TEST(BreakEven, AffineReplayEqualsPerProbeSearchAtDefaultScale)

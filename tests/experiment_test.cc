@@ -291,5 +291,18 @@ TEST(ExperimentTest, CompileTimeFitsInsideTheRun)
     EXPECT_NEAR(passes_sec, phases.compileSec, 0.01 * phases.compileSec);
 }
 
+TEST(ExperimentTest, OnlyOracleRunsTheOracleSet)
+{
+    // C-Oracle is an oracle *scheduler* over the probabilistic slice
+    // set; only Oracle runs the oracle set. Table 6 reads its binary
+    // through compiledFor, so this mapping decides its rows.
+    BenchmarkResult result;
+    EXPECT_EQ(&result.compiledFor(Policy::Oracle), &result.oracleCompiled);
+    for (Policy policy : {Policy::COracle, Policy::Compiler, Policy::FLC,
+                          Policy::LLC, Policy::Predictor})
+        EXPECT_EQ(&result.compiledFor(policy), &result.compiled)
+            << policyName(policy);
+}
+
 }  // namespace
 }  // namespace amnesiac

@@ -40,6 +40,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <optional>
 #include <string>
 
@@ -114,6 +115,27 @@ main(int argc, char **argv)
                 usage(argv[0]);
             return argv[++i];
         };
+        // Numeric values must parse in full (bench::parseNumber).
+        auto reject = [&](const std::string &text) {
+            std::fprintf(stderr, "%s: bad value '%s' for %s\n", argv[0],
+                         text.c_str(), arg.c_str());
+            usage(argv[0]);
+        };
+        auto number = [&](std::uint64_t max) {
+            const std::string text = next();
+            const std::optional<std::uint64_t> v =
+                bench::parseNumber(text, max);
+            if (!v)
+                reject(text);
+            return *v;
+        };
+        auto real = [&]() {
+            const std::string text = next();
+            const std::optional<double> v = bench::parseReal(text);
+            if (!v)
+                reject(text);
+            return *v;
+        };
         if (arg == "--list") {
             for (const std::string &name : registeredWorkloads())
                 std::printf("%s\n", name.c_str());
@@ -121,16 +143,16 @@ main(int argc, char **argv)
         } else if (arg == "--policy") {
             policy_arg = next();
         } else if (arg == "--seed") {
-            args.seed = std::strtoull(next().c_str(), nullptr, 10);
+            args.seed = number(std::numeric_limits<std::uint64_t>::max());
         } else if (arg == "--jobs") {
             config.jobs = static_cast<unsigned>(
-                std::strtoul(next().c_str(), nullptr, 10));
+                number(std::numeric_limits<unsigned>::max()));
         } else if (arg == "--cache-dir") {
             config.cacheDir = next();
         } else if (arg == "--no-cache") {
             config.noCache = true;
         } else if (arg == "--scale") {
-            config.energy.nonMemScale = std::strtod(next().c_str(), nullptr);
+            config.energy.nonMemScale = real();
         } else if (arg == "--timing") {
             std::string name = next();
             if (!parseTimingBackend(name, config.timing.backend)) {
@@ -147,10 +169,10 @@ main(int argc, char **argv)
             }
         } else if (arg == "--hist") {
             config.amnesic.histCapacity = static_cast<std::uint32_t>(
-                std::strtoul(next().c_str(), nullptr, 10));
+                number(std::numeric_limits<std::uint32_t>::max()));
         } else if (arg == "--sfile") {
             config.amnesic.sfileCapacity = static_cast<std::uint32_t>(
-                std::strtoul(next().c_str(), nullptr, 10));
+                number(std::numeric_limits<std::uint32_t>::max()));
         } else if (arg == "--per-site-model") {
             config.compiler.globalResidenceModel = false;
         } else if (arg == "--trace") {
@@ -161,7 +183,7 @@ main(int argc, char **argv)
             args.metricsPath = next();
         } else if (arg == "--max-records") {
             config.traceMaxRecords =
-                std::strtoull(next().c_str(), nullptr, 10);
+                number(std::numeric_limits<std::size_t>::max());
         } else if (arg == "--prof") {
             args.prof = true;
         } else if (arg == "--prof-out") {

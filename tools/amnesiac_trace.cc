@@ -36,6 +36,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -116,21 +117,42 @@ main(int argc, char **argv)
                 usage(argv[0]);
             return argv[++i];
         };
+        // Numeric values must parse in full (bench::parseNumber).
+        auto reject = [&](const std::string &text) {
+            std::fprintf(stderr, "%s: bad value '%s' for %s\n", argv[0],
+                         text.c_str(), arg.c_str());
+            usage(argv[0]);
+        };
+        auto number = [&](std::uint64_t max) {
+            const std::string text = next();
+            const std::optional<std::uint64_t> v =
+                bench::parseNumber(text, max);
+            if (!v)
+                reject(text);
+            return *v;
+        };
+        auto real = [&]() {
+            const std::string text = next();
+            const std::optional<double> v = bench::parseReal(text);
+            if (!v)
+                reject(text);
+            return *v;
+        };
         if (arg == "--policy") {
             policy_arg = next();
         } else if (arg == "--seed") {
-            seed = std::strtoull(next().c_str(), nullptr, 10);
+            seed = number(std::numeric_limits<std::uint64_t>::max());
         } else if (arg == "--jobs") {
             config.jobs = static_cast<unsigned>(
-                std::strtoul(next().c_str(), nullptr, 10));
+                number(std::numeric_limits<unsigned>::max()));
         } else if (arg == "--scale") {
-            config.energy.nonMemScale = std::strtod(next().c_str(), nullptr);
+            config.energy.nonMemScale = real();
         } else if (arg == "--hist") {
             config.amnesic.histCapacity = static_cast<std::uint32_t>(
-                std::strtoul(next().c_str(), nullptr, 10));
+                number(std::numeric_limits<std::uint32_t>::max()));
         } else if (arg == "--sfile") {
             config.amnesic.sfileCapacity = static_cast<std::uint32_t>(
-                std::strtoul(next().c_str(), nullptr, 10));
+                number(std::numeric_limits<std::uint32_t>::max()));
         } else if (arg == "--jsonl") {
             jsonl_path = next();
         } else if (arg == "--chrome") {
@@ -145,7 +167,7 @@ main(int argc, char **argv)
             config.traceMemory = true;
         } else if (arg == "--max-records") {
             config.traceMaxRecords =
-                std::strtoull(next().c_str(), nullptr, 10);
+                number(std::numeric_limits<std::size_t>::max());
         } else if (arg == "--prof") {
             prof_args.prof = true;
         } else if (arg == "--prof-out") {
