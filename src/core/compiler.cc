@@ -200,8 +200,7 @@ AmnesicCompiler::compileSets(const Program &input,
                 for (std::size_t i = 0; i < kNumMemLevels; ++i)
                     slice->profResidence[i] =
                         site->prLevel(static_cast<MemLevel>(i));
-                slice->valueLocalityPct =
-                    profile.valueLocalityPercent(site->pc);
+                slice->valueLocalityPct = site->valueLocalityPercent();
                 candidates[k].push_back(std::move(*slice));
             }
             select_span.counter("sitesSeen", stats.sitesSeen);

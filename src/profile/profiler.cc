@@ -6,6 +6,16 @@
 
 namespace amnesiac {
 
+void
+SiteProfile::recordLoad(std::uint64_t value, MemLevel serviced)
+{
+    if (count > 0 && lastValue == value)
+        ++repeats;
+    lastValue = value;
+    ++count;
+    ++byLevel[static_cast<std::size_t>(serviced)];
+}
+
 double
 SiteProfile::prLevel(MemLevel level) const
 {
@@ -32,6 +42,15 @@ SiteProfile::stability() const
     if (!best || count == 0)
         return 0.0;
     return static_cast<double>(best->count) / static_cast<double>(count);
+}
+
+double
+SiteProfile::valueLocalityPercent() const
+{
+    if (count < 2)
+        return 0.0;
+    return 100.0 * static_cast<double>(repeats) /
+           static_cast<double>(count - 1);
 }
 
 Profiler::Profiler(const ProfilerConfig &config) : _config(config) {}
@@ -64,13 +83,11 @@ void
 Profiler::onLoad(const Machine &m, std::uint32_t pc, std::uint64_t addr,
                  std::uint64_t value, MemLevel serviced)
 {
-    _values.record(pc, value);
     if (pc >= _sites.size())
         _sites.resize(std::max<std::size_t>(pc + 1, m.program().code.size()));
     SiteProfile &site = _sites[pc];
     site.pc = pc;
-    ++site.count;
-    ++site.byLevel[static_cast<std::size_t>(serviced)];
+    site.recordLoad(value, serviced);
 
     const Instruction &instr = m.program().code[pc];
     _tracker.onLoad(pc, instr, addr, value);
@@ -110,88 +127,67 @@ sigMix(std::uint64_t h, std::uint64_t v)
     return h * kSigPrime;
 }
 
-/**
- * Structural signature of the slice the builder would construct at
- * this instant: recursion stops at operands whose register currently
- * holds the produced input value (a Live cut) — otherwise chains
- * through loop-carried state would make every dynamic tree look
- * different even though the buildable slice is identical.
- */
-std::uint64_t
-liveCutSignature(const Machine &m, const DepTracker &tracker,
-                 NodeId id, int depth_left, int &nodes_left)
-{
-    if (id == kNoNode)
-        return 0x11ull;
-    if (depth_left == 0 || nodes_left <= 0)
-        return 0x22ull;
-    --nodes_left;
-    const ProducerNode &node = tracker.node(id);
-    const Instruction &instr = m.program().code[node.pc];
-    std::uint64_t h = 0xCBF29CE484222325ull;
-    h = sigMix(h, static_cast<std::uint64_t>(node.kind));
-    h = sigMix(h, node.pc);
-    h = sigMix(h, static_cast<std::uint64_t>(node.op));
-    auto operand = [&](Reg read_reg, NodeId p) -> std::uint64_t {
-        if (p != kNoNode) {
-            if (m.reg(read_reg) == tracker.node(p).value)
-                return 0x33ull;  // Live cut
-            return liveCutSignature(m, tracker, p, depth_left - 1,
-                                    nodes_left);
-        }
-        // Untracked origin: live while the register is untouched.
-        return tracker.regProducer(read_reg) != kNoNode ? 0x11ull : 0x33ull;
-    };
-    if (node.fanIn() >= 1)
-        h = sigMix(h, operand(instr.rs1, node.in1));
-    if (node.fanIn() >= 2)
-        h = sigMix(h, operand(instr.rs2, node.in2));
-    return h;
-}
-
 }  // namespace
 
 void
-Profiler::analyzeTree(const Machine &m, SiteProfile &site,
-                      NodeId root)
+Profiler::analyzeTree(const Machine &m, SiteProfile &site, NodeId root)
 {
-    int sig_nodes_left = _config.maxTreeNodes;
-    std::uint64_t sig = liveCutSignature(m, _tracker, root,
-                                         _config.maxTreeDepth,
-                                         sig_nodes_left);
+    WalkBudget budget;
+    std::uint64_t sig = walk(m, site, root, kMaxTreeDepth, budget);
+    _walkNodes += static_cast<std::uint64_t>(
+        2 * kMaxTreeNodes - budget.sigLeft - budget.liveLeft);
+
     auto it = std::find_if(site.trees.begin(), site.trees.end(),
                            [sig](const CandidateTree &t) {
                                return t.signature == sig;
                            });
     if (it != site.trees.end()) {
         ++it->count;
-    } else if (site.trees.size() < _config.maxDistinctTrees) {
+    } else if (site.trees.size() < kMaxDistinctTrees) {
         _tracker.pin(root);  // keep the representative alive in the arena
         site.trees.push_back({sig, 1, root});
     } else {
         site.treeOverflow = true;
     }
-
-    int live_nodes_left = _config.maxTreeNodes;
-    collectLiveStats(m, site, root, _config.maxTreeDepth, live_nodes_left);
-    // Both walks count down from the same cap, one per visited node.
-    _walkNodes += static_cast<std::uint64_t>(2 * _config.maxTreeNodes -
-                                             sig_nodes_left -
-                                             live_nodes_left);
 }
 
-void
-Profiler::collectLiveStats(const Machine &m, SiteProfile &site,
-                           NodeId id, int depth_left, int &nodes_left)
+/**
+ * One pre-order walk of the slice the builder would construct at this
+ * instant. Recursion stops at an operand whose register currently holds
+ * the produced input value (a Live cut): nothing below it can end up in
+ * the slice on this instance, and chains through loop-carried state
+ * would otherwise make every dynamic tree look different even though
+ * the buildable slice is identical. Returns the tree's structural
+ * signature and records every visited ALU operand in `operandLive`.
+ *
+ * The two results spend separate budgets. The signature charges every
+ * node it enters, leaves included, and reads 0x22 past its budget; the
+ * statistics charge ALU nodes only and carry on. So the signature's
+ * budget never outlasts the statistics'.
+ */
+std::uint64_t
+Profiler::walk(const Machine &m, SiteProfile &site, NodeId id,
+               int depth_left, WalkBudget &budget)
 {
-    if (id == kNoNode || depth_left == 0 || nodes_left <= 0)
-        return;
+    if (id == kNoNode)
+        return 0x11ull;
+    if (depth_left == 0 || budget.liveLeft <= 0)
+        return 0x22ull;
     const ProducerNode &node = _tracker.node(id);
+    const bool sig = budget.sigLeft > 0;
+    std::uint64_t h = 0x22ull;
+    if (sig) {
+        --budget.sigLeft;
+        h = 0xCBF29CE484222325ull;
+        h = sigMix(h, static_cast<std::uint64_t>(node.kind));
+        h = sigMix(h, node.pc);
+        h = sigMix(h, static_cast<std::uint64_t>(node.op));
+    }
     if (node.kind != ProducerNode::Kind::Alu)
-        return;
-    --nodes_left;
+        return h;
+    --budget.liveLeft;
 
-    auto record = [&](int idx, Reg read_reg, NodeId producer) {
+    auto operand = [&](int idx, Reg read_reg, NodeId producer) {
         OperandLiveStat &stat = site.operandLive[operandKey(node.pc, idx)];
         ++stat.seen;
         // Live sourcing is legal for this instance iff the register the
@@ -200,28 +196,24 @@ Profiler::collectLiveStats(const Machine &m, SiteProfile &site,
         // re-produced the same value (e.g. an index recomputed by the
         // consumer loop). Untracked origins count as live only while
         // the register is still untouched.
-        if (producer != kNoNode) {
-            if (m.reg(read_reg) == _tracker.node(producer).value) {
-                ++stat.matches;
-                return true;
-            }
-            return false;
-        }
-        if (_tracker.regProducer(read_reg) == kNoNode) {
+        bool live = producer != kNoNode
+            ? m.reg(read_reg) == _tracker.node(producer).value
+            : _tracker.regProducer(read_reg) == kNoNode;
+        if (live)
             ++stat.matches;
-            return true;
-        }
-        return false;
+        std::uint64_t v = live
+            ? 0x33ull  // Live cut
+            : walk(m, site, producer, depth_left - 1, budget);
+        if (sig)
+            h = sigMix(h, v);
     };
-
-    // Recursion mirrors the builder: a Live-matched operand is a cut —
-    // nothing below it can end up in the slice on this instance.
     const Instruction &instr = m.program().code[node.pc];
     int fan_in = node.fanIn();
-    if (fan_in >= 1 && !record(0, instr.rs1, node.in1))
-        collectLiveStats(m, site, node.in1, depth_left - 1, nodes_left);
-    if (fan_in >= 2 && !record(1, instr.rs2, node.in2))
-        collectLiveStats(m, site, node.in2, depth_left - 1, nodes_left);
+    if (fan_in >= 1)
+        operand(0, instr.rs1, node.in1);
+    if (fan_in >= 2)
+        operand(1, instr.rs2, node.in2);
+    return h;
 }
 
 const SiteProfile *

@@ -14,20 +14,20 @@
 #include <vector>
 
 #include "profile/dep_tracker.h"
-#include "profile/value_locality.h"
 #include "sim/machine.h"
 
 namespace amnesiac {
 
-/** Tuning for the profiling pass. */
+/** Tree-walk caps. Deep enough to cover the paper's longest observed
+ * slices (~70 instructions, Fig 6). */
+inline constexpr int kMaxTreeDepth = 80;
+inline constexpr int kMaxTreeNodes = 256;
+/** Distinct tree shapes remembered per site before giving up. */
+inline constexpr std::size_t kMaxDistinctTrees = 8;
+
+/** Static-pruner masks for the profiling pass. */
 struct ProfilerConfig
 {
-    /** Tree-walk caps. Deep enough to cover the paper's longest
-     * observed slices (~70 instructions, Fig 6). */
-    int maxTreeDepth = 80;
-    int maxTreeNodes = 256;
-    /** Distinct tree shapes remembered per site before giving up. */
-    std::size_t maxDistinctTrees = 8;
     /**
      * Static-pruner masks, indexed by pc (empty = profile everything).
      * A set `opaqueProduction` bit replaces that production with a
@@ -89,15 +89,28 @@ struct SiteProfile
     std::uint64_t count = 0;
     /** Dynamic instances serviced by L1 / L2 / Memory. */
     std::array<std::uint64_t, kNumMemLevels> byLevel{};
+    /** Value of the latest instance, and instances that returned the
+     * same value as the one before (§5.6, after Lipasti et al.). */
+    std::uint64_t lastValue = 0;
+    std::uint64_t repeats = 0;
     std::vector<CandidateTree> trees;
-    /** Site saw more distinct shapes than maxDistinctTrees. */
+    /** Site saw more distinct shapes than kMaxDistinctTrees. */
     bool treeOverflow = false;
     /** Instances whose loaded value had no sliceable producer. */
     std::uint64_t untracked = 0;
     std::unordered_map<std::uint64_t, OperandLiveStat> operandLive;
 
+    /** Count one dynamic instance: its value and servicing level. */
+    void recordLoad(std::uint64_t value, MemLevel serviced);
+
     /** Pr_Li: probability the load is serviced at a level (§3.1.1). */
     double prLevel(MemLevel level) const;
+
+    /**
+     * Value locality in percent (§5.6, Fig 8): 100 * repeats /
+     * (instances after the first); 0 below two instances.
+     */
+    double valueLocalityPercent() const;
 
     /** Most frequent tree shape (nullptr when none recorded). */
     const CandidateTree *topTree() const;
@@ -132,32 +145,30 @@ class Profiler : public ExecutionObserver
     /** Dynamic execution count of any static instruction. */
     std::uint64_t execCount(std::uint32_t pc) const;
 
-    /** Value locality of a load site in percent (§5.6). */
-    double valueLocalityPercent(std::uint32_t pc) const
-    {
-        return _values.localityPercent(pc);
-    }
-
     /**
-     * Tree nodes visited by the per-load walks so far: the signature
-     * walk plus the live-operand walk, each capped at maxTreeNodes per
-     * dynamic load.
+     * Tree nodes charged by the per-load walk so far, summed over its
+     * two budgets of kMaxTreeNodes each: the signature's (every node it
+     * enters) and the live statistics' (ALU nodes only).
      */
     std::uint64_t walkNodes() const { return _walkNodes; }
 
-    const ValueLocalityProfiler &valueLocality() const { return _values; }
     /** The arena holding every candidate tree's representative. */
     const DepTracker &tracker() const { return _tracker; }
 
   private:
-    void analyzeTree(const Machine &m, SiteProfile &site,
-                     NodeId root);
-    void collectLiveStats(const Machine &m, SiteProfile &site,
-                          NodeId node, int depth_left, int &nodes_left);
+    /** Budgets of one per-load walk (see walkNodes()). */
+    struct WalkBudget
+    {
+        int sigLeft = kMaxTreeNodes;
+        int liveLeft = kMaxTreeNodes;
+    };
+
+    void analyzeTree(const Machine &m, SiteProfile &site, NodeId root);
+    std::uint64_t walk(const Machine &m, SiteProfile &site, NodeId id,
+                       int depth_left, WalkBudget &budget);
 
     ProfilerConfig _config;
     DepTracker _tracker;
-    ValueLocalityProfiler _values;
     /** Dense per-pc tables, sized to the program on first use. */
     std::vector<SiteProfile> _sites;
     std::vector<std::uint64_t> _execCounts;

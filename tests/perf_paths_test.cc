@@ -144,6 +144,7 @@ void
 expectProfilesIdentical(const Profiler &a, const Profiler &b)
 {
     EXPECT_EQ(a.tracker().productions(), b.tracker().productions());
+    EXPECT_EQ(a.walkNodes(), b.walkNodes());
     std::vector<const SiteProfile *> sa = a.sites();
     std::vector<const SiteProfile *> sb = b.sites();
     ASSERT_EQ(sa.size(), sb.size());
@@ -152,12 +153,22 @@ expectProfilesIdentical(const Profiler &a, const Profiler &b)
         EXPECT_EQ(sa[i]->pc, sb[i]->pc);
         EXPECT_EQ(sa[i]->count, sb[i]->count);
         EXPECT_EQ(sa[i]->byLevel, sb[i]->byLevel);
+        EXPECT_EQ(sa[i]->repeats, sb[i]->repeats);
+        EXPECT_EQ(sa[i]->valueLocalityPercent(),
+                  sb[i]->valueLocalityPercent());
         EXPECT_EQ(sa[i]->untracked, sb[i]->untracked);
         EXPECT_EQ(sa[i]->treeOverflow, sb[i]->treeOverflow);
         ASSERT_EQ(sa[i]->trees.size(), sb[i]->trees.size());
         for (std::size_t t = 0; t < sa[i]->trees.size(); ++t) {
             EXPECT_EQ(sa[i]->trees[t].signature, sb[i]->trees[t].signature);
             EXPECT_EQ(sa[i]->trees[t].count, sb[i]->trees[t].count);
+        }
+        ASSERT_EQ(sa[i]->operandLive.size(), sb[i]->operandLive.size());
+        for (const auto &[key, stat] : sa[i]->operandLive) {
+            auto it = sb[i]->operandLive.find(key);
+            ASSERT_NE(it, sb[i]->operandLive.end()) << "operand " << key;
+            EXPECT_EQ(stat.seen, it->second.seen) << "operand " << key;
+            EXPECT_EQ(stat.matches, it->second.matches) << "operand " << key;
         }
     }
 }
