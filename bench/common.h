@@ -1,9 +1,9 @@
 /**
  * @file
  * Shared plumbing for the bench harnesses (the paper driver and the
- * ablations): builds the 11-benchmark suite, runs the §5 pipeline
- * (fanned out over the experiment thread pool), parses the
- * command-line knobs every harness shares — including the
+ * ablations) and amnesiac-run: builds the 11-benchmark suite, runs the
+ * §5 pipeline (fanned out over the experiment thread pool), parses the
+ * command-line knobs they all share — including the
  * observability outputs (--trace / --site-report / --metrics) and the
  * host-side span profiler (--prof / --prof-out / --prof-report) — and
  * prints the Table 3 configuration echo every harness leads with.
@@ -12,15 +12,10 @@
 #ifndef AMNESIAC_BENCH_COMMON_H
 #define AMNESIAC_BENCH_COMMON_H
 
-#include <cctype>
-#include <cerrno>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <limits>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -28,6 +23,7 @@
 #include "report/experiment.h"
 #include "report/figures.h"
 #include "report/obs_export.h"
+#include "util/args.h"
 #include "workloads/paper_suite.h"
 
 namespace amnesiac::bench {
@@ -53,43 +49,12 @@ inline void writeArtifact(const std::string &path,
                           const std::string &content);
 
 /**
- * `text` as a decimal integer no larger than `max`, or nullopt unless
- * all of it parses: "--jobs x" is a typo, not a request for the
- * default, and "--jobs 4294967297" must not wrap to 1.
- */
-inline std::optional<std::uint64_t>
-parseNumber(const std::string &text,
-            std::uint64_t max = std::numeric_limits<std::uint64_t>::max())
-{
-    char *end = nullptr;
-    errno = 0;
-    const std::uint64_t v = std::strtoull(text.c_str(), &end, 10);
-    // A leading digit rules out the sign and blanks strtoull would
-    // accept.
-    if (!std::isdigit(static_cast<unsigned char>(text[0])) ||
-        *end != '\0' || errno == ERANGE || v > max)
-        return std::nullopt;
-    return v;
-}
-
-/** `text` as a finite real, or nullopt unless all of it parses. */
-inline std::optional<double>
-parseReal(const std::string &text)
-{
-    char *end = nullptr;
-    const double v = std::strtod(text.c_str(), &end);
-    if (text.empty() || *end != '\0' || !std::isfinite(v))
-        return std::nullopt;
-    return v;
-}
-
-/**
  * Turn on the host-side span profiler and register an exit-time writer
  * for its artifacts: the Chrome trace to `profOutPath` (if set) and the
  * flame table to `profReportPath` (if set) or stderr otherwise. Writing
  * at exit keeps the instrumentation window maximal — teardown included
- * — and spares its ten callers (the paper driver, the seven ablations,
- * amnesiac-run and amnesiac-trace) any plumbing of their own.
+ * — and spares its nine callers (the paper driver, the seven ablations
+ * and amnesiac-run) any plumbing of their own.
  * No-op unless profiling was requested.
  */
 inline void
@@ -118,8 +83,17 @@ enableHostProfiling(const BenchArgs &args)
     });
 }
 
+/** Usage text of the flags parseSharedFlag() takes. */
+inline const char kSharedSynopsis[] =
+    "[--jobs <n>] [--cache-dir <path>] [--no-cache] [--seed <n>] "
+    "[--scale <x>] [--timing <scalar|pipelined>] "
+    "[--predictor <nottaken|bimodal|gshare>] [--trace <path>] "
+    "[--site-report <path>] [--metrics <path>] [--max-records <n>] "
+    "[--prof] [--prof-out <path>] [--prof-report <path>]";
+
 /**
- * Parse the harness-wide flags shared by every bench binary:
+ * Take the reader's current argument if it is one of the flags every
+ * bench binary and amnesiac-run share; false if it is not:
  *
  *   --jobs <n>          worker threads for the experiment pipeline
  *                       (0 = hardware_concurrency, 1 = serial; default 0)
@@ -145,115 +119,58 @@ enableHostProfiling(const BenchArgs &args)
  *                       (implies --prof)
  *   --prof-report <path> write the flame table there instead of
  *                       stderr (implies --prof)
- *
- * Both `--flag value` and `--flag=value` spellings are accepted.
- * Unknown flags, and numeric values that do not parse in full, abort
- * with a usage message (exit 2) so typos never silently run the
- * default experiment.
  */
-inline BenchArgs
-parseArgs(int argc, char **argv)
+inline bool
+parseSharedFlag(ArgReader &reader, BenchArgs &args)
 {
-    BenchArgs args;
-    auto usage = [&]() {
-        std::fprintf(stderr,
-                     "usage: %s [--jobs <n>] "
-                     "[--cache-dir <path>] [--no-cache] [--seed <n>] "
-                     "[--scale <x>] [--timing <scalar|pipelined>] "
-                     "[--predictor <nottaken|bimodal|gshare>] "
-                     "[--trace <path>] "
-                     "[--site-report <path>] [--metrics <path>] "
-                     "[--max-records <n>] [--prof] [--prof-out <path>] "
-                     "[--prof-report <path>]\n",
-                     argv[0]);
-        std::exit(2);
-    };
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        std::string value;
-        bool has_value = false;
-        if (auto eq = arg.find('='); eq != std::string::npos) {
-            value = arg.substr(eq + 1);
-            arg.resize(eq);
-            has_value = true;
-        }
-        auto next = [&]() -> std::string {
-            if (has_value)
-                return value;
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s: missing value for %s\n",
-                             argv[0], arg.c_str());
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        auto reject = [&](const std::string &text) {
-            std::fprintf(stderr, "%s: bad value '%s' for %s\n", argv[0],
-                         text.c_str(), arg.c_str());
-            usage();
-        };
-        auto number = [&](std::uint64_t max =
-                              std::numeric_limits<std::uint64_t>::max()) {
-            const std::string text = next();
-            const std::optional<std::uint64_t> v = parseNumber(text, max);
-            if (!v)
-                reject(text);
-            return *v;
-        };
-        auto real = [&]() {
-            const std::string text = next();
-            const std::optional<double> v = parseReal(text);
-            if (!v)
-                reject(text);
-            return *v;
-        };
-        if (arg == "--jobs") {
-            args.config.jobs = static_cast<unsigned>(
-                number(std::numeric_limits<unsigned>::max()));
-        } else if (arg == "--cache-dir") {
-            args.config.cacheDir = next();
-        } else if (arg == "--no-cache") {
-            args.config.noCache = true;
-        } else if (arg == "--seed") {
-            args.seed = number();
-        } else if (arg == "--scale") {
-            args.config.energy.nonMemScale = real();
-        } else if (arg == "--timing") {
-            std::string name = next();
-            if (!parseTimingBackend(name, args.config.timing.backend)) {
-                std::fprintf(stderr,
-                             "%s: unknown timing backend '%s' "
-                             "(scalar | pipelined)\n",
-                             argv[0], name.c_str());
-                std::exit(2);
-            }
-        } else if (arg == "--predictor") {
-            std::string name = next();
-            if (!parsePredictorKind(name, args.config.timing.predictor)) {
-                std::fprintf(stderr,
-                             "%s: unknown predictor '%s' "
-                             "(nottaken | bimodal | gshare)\n",
-                             argv[0], name.c_str());
-                std::exit(2);
-            }
-        } else if (arg == "--trace") {
-            args.tracePath = next();
-        } else if (arg == "--site-report") {
-            args.siteReportPath = next();
-        } else if (arg == "--metrics") {
-            args.metricsPath = next();
-        } else if (arg == "--max-records") {
-            args.config.traceMaxRecords = number();
-        } else if (arg == "--prof") {
-            args.prof = true;
-        } else if (arg == "--prof-out") {
-            args.profOutPath = next();
-        } else if (arg == "--prof-report") {
-            args.profReportPath = next();
-        } else {
-            usage();
-        }
+    const std::string &flag = reader.arg();
+    ExperimentConfig &config = args.config;
+    if (flag == "--jobs") {
+        config.jobs = static_cast<unsigned>(
+            reader.number(std::numeric_limits<unsigned>::max()));
+    } else if (flag == "--cache-dir") {
+        config.cacheDir = reader.value();
+    } else if (flag == "--no-cache") {
+        config.noCache = true;
+    } else if (flag == "--seed") {
+        args.seed = reader.number();
+    } else if (flag == "--scale") {
+        config.energy.nonMemScale = reader.real();
+    } else if (flag == "--timing") {
+        const std::string name = reader.value();
+        if (!parseTimingBackend(name, config.timing.backend))
+            reader.fail("unknown timing backend '" + name +
+                        "' (scalar | pipelined)");
+    } else if (flag == "--predictor") {
+        const std::string name = reader.value();
+        if (!parsePredictorKind(name, config.timing.predictor))
+            reader.fail("unknown predictor '" + name +
+                        "' (nottaken | bimodal | gshare)");
+    } else if (flag == "--trace") {
+        args.tracePath = reader.value();
+    } else if (flag == "--site-report") {
+        args.siteReportPath = reader.value();
+    } else if (flag == "--metrics") {
+        args.metricsPath = reader.value();
+    } else if (flag == "--max-records") {
+        config.traceMaxRecords = reader.number();
+    } else if (flag == "--prof") {
+        args.prof = true;
+    } else if (flag == "--prof-out") {
+        args.profOutPath = reader.value();
+    } else if (flag == "--prof-report") {
+        args.profReportPath = reader.value();
+    } else {
+        return false;
     }
+    return true;
+}
+
+/** Derive what the parsed flags imply and start host profiling if it
+ * was asked for. */
+inline void
+finishArgs(BenchArgs &args)
+{
     // Event buffering costs memory; only pay for it when the trace is
     // actually going somewhere. Site attribution is always on.
     args.config.traceEvents = !args.tracePath.empty();
@@ -261,6 +178,18 @@ parseArgs(int argc, char **argv)
     args.prof = args.prof || !args.profOutPath.empty() ||
                 !args.profReportPath.empty();
     enableHostProfiling(args);
+}
+
+/** Parse a harness command line: the shared flags and nothing else. */
+inline BenchArgs
+parseArgs(int argc, char **argv)
+{
+    ArgReader reader(argc, argv, kSharedSynopsis);
+    BenchArgs args;
+    while (reader.next())
+        if (!parseSharedFlag(reader, args))
+            reader.unknown();
+    finishArgs(args);
     return args;
 }
 
@@ -280,8 +209,8 @@ rejectObsArgs(const BenchArgs &args, const char *argv0)
     std::fprintf(stderr,
                  "%s: --trace/--site-report/--metrics are not supported "
                  "by this sweep harness (no single result set to "
-                 "export); use amnesiac-run or amnesiac-trace on the "
-                 "workload/config of interest instead\n",
+                 "export); use amnesiac-run on the workload/config of "
+                 "interest instead\n",
                  argv0);
     std::exit(2);
 }

@@ -20,13 +20,14 @@
  * numbers are tracked as artifacts, not asserted, to keep CI unflaky).
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <optional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -37,6 +38,7 @@
 #include "profile/profiler.h"
 #include "report/experiment.h"
 #include "sim/machine.h"
+#include "util/args.h"
 #include "util/json.h"
 #include "workloads/registry.h"
 
@@ -57,16 +59,6 @@ using amnesiac::serializeProgram;
 using amnesiac::Workload;
 
 using WallClock = std::chrono::steady_clock;
-
-std::optional<Policy>
-parsePolicy(const std::string &name)
-{
-    for (Policy p : {Policy::Compiler, Policy::FLC, Policy::LLC,
-                     Policy::COracle, Policy::Oracle, Policy::Predictor})
-        if (name == amnesiac::policyName(p))
-            return p;
-    return std::nullopt;
-}
 
 double
 secondsSince(WallClock::time_point start)
@@ -137,37 +129,24 @@ main(int argc, char **argv)
     std::string out_path = "BENCH_interp.json";
     Policy policy = Policy::FLC;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s: missing value for %s\n", argv[0],
-                             arg.c_str());
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (arg == "--quick") {
+    amnesiac::ArgReader reader(
+        argc, argv, "[--quick] [--repeats <n>] [--out <path>] [--policy <p>]");
+    while (reader.next()) {
+        const std::string &flag = reader.arg();
+        if (flag == "--quick") {
             quick = true;
-        } else if (arg == "--repeats") {
-            repeats = std::atoi(next().c_str());
-            if (repeats < 1)
-                repeats = 1;
-        } else if (arg == "--out") {
-            out_path = next();
-        } else if (arg == "--policy") {
-            auto parsed = parsePolicy(next());
-            if (!parsed) {
-                std::fprintf(stderr, "%s: unknown policy\n", argv[0]);
-                return 2;
-            }
-            policy = *parsed;
+        } else if (flag == "--repeats") {
+            // 0 still means one repeat: every phase is timed at least once.
+            repeats = std::max(1, static_cast<int>(reader.number(
+                                      std::numeric_limits<int>::max())));
+        } else if (flag == "--out") {
+            out_path = reader.value();
+        } else if (flag == "--policy") {
+            const std::string name = reader.value();
+            if (!amnesiac::parsePolicy(name, policy))
+                reader.fail("unknown policy '" + name + "'");
         } else {
-            std::fprintf(stderr,
-                         "usage: %s [--quick] [--repeats <n>] "
-                         "[--out <path>] [--policy <p>]\n",
-                         argv[0]);
-            return 2;
+            reader.unknown();
         }
     }
 

@@ -26,16 +26,19 @@
  *               [--predictor <nottaken|bimodal|gshare>]
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "sim/machine.h"
 #include "timing/timing.h"
+#include "util/args.h"
 #include "util/json.h"
 #include "workloads/registry.h"
 
@@ -152,38 +155,25 @@ main(int argc, char **argv)
     std::string out_path = "BENCH_timing.json";
     PredictorKind predictor = PredictorKind::Bimodal;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s: missing value for %s\n",
-                             argv[0], arg.c_str());
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (arg == "--quick") {
+    amnesiac::ArgReader reader(argc, argv,
+                               "[--quick] [--repeats <n>] [--out <path>] "
+                               "[--predictor <nottaken|bimodal|gshare>]");
+    while (reader.next()) {
+        const std::string &flag = reader.arg();
+        if (flag == "--quick") {
             quick = true;
-        } else if (arg == "--repeats") {
-            repeats = std::atoi(next().c_str());
-            if (repeats < 1)
-                repeats = 1;
-        } else if (arg == "--out") {
-            out_path = next();
-        } else if (arg == "--predictor") {
-            std::string name = next();
-            if (!amnesiac::parsePredictorKind(name, predictor)) {
-                std::fprintf(stderr, "%s: unknown predictor '%s'\n",
-                             argv[0], name.c_str());
-                return 2;
-            }
+        } else if (flag == "--repeats") {
+            // 0 still means one repeat: every phase is timed at least once.
+            repeats = std::max(1, static_cast<int>(reader.number(
+                                      std::numeric_limits<int>::max())));
+        } else if (flag == "--out") {
+            out_path = reader.value();
+        } else if (flag == "--predictor") {
+            const std::string name = reader.value();
+            if (!amnesiac::parsePredictorKind(name, predictor))
+                reader.fail("unknown predictor '" + name + "'");
         } else {
-            std::fprintf(stderr,
-                         "usage: %s [--quick] [--repeats <n>] "
-                         "[--out <path>] "
-                         "[--predictor <nottaken|bimodal|gshare>]\n",
-                         argv[0]);
-            return 2;
+            reader.unknown();
         }
     }
 

@@ -7,6 +7,7 @@
 #ifndef AMNESIAC_CORE_POLICY_H
 #define AMNESIAC_CORE_POLICY_H
 
+#include <string>
 #include <string_view>
 
 namespace amnesiac {
@@ -50,6 +51,19 @@ policyName(Policy policy)
       case Policy::Predictor: return "Predictor";
     }
     return "?";
+}
+
+/** Parse a policyName(); false (and `out` untouched) on failure. */
+inline bool
+parsePolicy(const std::string &name, Policy &out)
+{
+    for (Policy policy : {Policy::Compiler, Policy::FLC, Policy::LLC,
+                          Policy::COracle, Policy::Oracle, Policy::Predictor})
+        if (name == policyName(policy)) {
+            out = policy;
+            return true;
+        }
+    return false;
 }
 
 /** All policies in the paper's plotting order. */

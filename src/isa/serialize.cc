@@ -3,6 +3,7 @@
 #include <cstring>
 #include <fstream>
 
+#include "util/bytes.h"
 #include "util/logging.h"
 
 namespace amnesiac {
@@ -11,92 +12,8 @@ namespace {
 
 constexpr char kMagic[4] = {'A', 'M', 'N', 'B'};
 
-std::uint64_t
-fnv1a(const std::uint8_t *data, std::size_t size)
-{
-    std::uint64_t h = 0xCBF29CE484222325ull;
-    for (std::size_t i = 0; i < size; ++i) {
-        h ^= data[i];
-        h *= 0x100000001B3ull;
-    }
-    return h;
-}
-
-/** Append-only little-endian writer. */
-class Writer
-{
-  public:
-    template <typename T>
-    void
-    put(T value)
-    {
-        static_assert(std::is_trivially_copyable_v<T>);
-        std::uint8_t raw[sizeof(T)];
-        std::memcpy(raw, &value, sizeof(T));
-        _out.insert(_out.end(), raw, raw + sizeof(T));
-    }
-
-    void
-    putBytes(const void *data, std::size_t size)
-    {
-        const auto *raw = static_cast<const std::uint8_t *>(data);
-        _out.insert(_out.end(), raw, raw + size);
-    }
-
-    std::vector<std::uint8_t> take() { return std::move(_out); }
-    const std::vector<std::uint8_t> &bytes() const { return _out; }
-
-  private:
-    std::vector<std::uint8_t> _out;
-};
-
-/** Bounds-checked reader; any overrun latches an error flag. */
-class Reader
-{
-  public:
-    explicit Reader(const std::vector<std::uint8_t> &bytes)
-        : _bytes(&bytes)
-    {
-    }
-
-    template <typename T>
-    T
-    get()
-    {
-        static_assert(std::is_trivially_copyable_v<T>);
-        T value{};
-        if (_failed || _pos + sizeof(T) > _bytes->size()) {
-            _failed = true;
-            return value;
-        }
-        std::memcpy(&value, _bytes->data() + _pos, sizeof(T));
-        _pos += sizeof(T);
-        return value;
-    }
-
-    bool
-    getBytes(void *out, std::size_t size)
-    {
-        if (_failed || _pos + size > _bytes->size()) {
-            _failed = true;
-            return false;
-        }
-        std::memcpy(out, _bytes->data() + _pos, size);
-        _pos += size;
-        return true;
-    }
-
-    bool failed() const { return _failed; }
-    std::size_t position() const { return _pos; }
-
-  private:
-    const std::vector<std::uint8_t> *_bytes;
-    std::size_t _pos = 0;
-    bool _failed = false;
-};
-
 void
-putInstruction(Writer &w, const Instruction &instr)
+putInstruction(ByteWriter &w, const Instruction &instr)
 {
     w.put(static_cast<std::uint8_t>(instr.op));
     w.put(instr.rd);
@@ -111,7 +28,7 @@ putInstruction(Writer &w, const Instruction &instr)
 }
 
 bool
-getInstruction(Reader &r, Instruction &instr)
+getInstruction(ByteReader &r, Instruction &instr)
 {
     std::uint8_t op = r.get<std::uint8_t>();
     if (op >= static_cast<std::uint8_t>(Opcode::NumOpcodes))
@@ -139,7 +56,7 @@ getInstruction(Reader &r, Instruction &instr)
 std::vector<std::uint8_t>
 serializeProgram(const Program &program)
 {
-    Writer w;
+    ByteWriter w;
     w.putBytes(kMagic, sizeof(kMagic));
     w.put(kProgramFormatVersion);
     w.put(program.codeEnd);
@@ -164,8 +81,7 @@ serializeProgram(const Program &program)
     }
     w.put(static_cast<std::uint32_t>(program.name.size()));
     w.putBytes(program.name.data(), program.name.size());
-    std::uint64_t checksum = fnv1a(w.bytes().data(), w.bytes().size());
-    w.put(checksum);
+    w.putChecksum();
     return w.take();
 }
 
@@ -181,15 +97,10 @@ deserializeProgram(const std::vector<std::uint8_t> &bytes,
 
     if (bytes.size() < sizeof(kMagic) + sizeof(std::uint64_t))
         return fail("buffer too small");
-    std::uint64_t stored_checksum;
-    std::memcpy(&stored_checksum,
-                bytes.data() + bytes.size() - sizeof(std::uint64_t),
-                sizeof(std::uint64_t));
-    if (fnv1a(bytes.data(), bytes.size() - sizeof(std::uint64_t)) !=
-        stored_checksum)
+    if (!checksumMatches(bytes))
         return fail("checksum mismatch");
 
-    Reader r(bytes);
+    ByteReader r(bytes);
     char magic[4];
     if (!r.getBytes(magic, sizeof(magic)) ||
         std::memcmp(magic, kMagic, sizeof(kMagic)) != 0)

@@ -7,17 +7,6 @@
 
 namespace amnesiac {
 
-std::uint64_t
-fnv1aDigest(std::string_view bytes)
-{
-    std::uint64_t hash = 0xcbf29ce484222325ull;
-    for (unsigned char c : bytes) {
-        hash ^= c;
-        hash *= 0x100000001b3ull;
-    }
-    return hash;
-}
-
 std::string
 renderManifestJson(const RunManifest &manifest)
 {

@@ -20,12 +20,10 @@
 #include <vector>
 
 #include "obs/span.h"
+#include "util/bytes.h"  // fnv1aDigest: the config digest's hash
 #include "util/thread_pool.h"
 
 namespace amnesiac {
-
-/** FNV-1a 64-bit over a canonical config string. */
-std::uint64_t fnv1aDigest(std::string_view bytes);
 
 /** Wall-clock seconds spent in each pipeline phase of one workload. */
 struct PhaseTimes

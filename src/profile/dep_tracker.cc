@@ -4,21 +4,6 @@
 
 namespace amnesiac {
 
-DepTracker::Pages::Pages(const Pages &other)
-{
-    list.reserve(other.list.size());
-    for (const auto &page : other.list)
-        list.push_back(std::make_unique<Page>(*page));
-}
-
-DepTracker::Pages &
-DepTracker::Pages::operator=(const Pages &other)
-{
-    if (this != &other)
-        *this = Pages(other);
-    return *this;
-}
-
 NodeId
 DepTracker::alloc()
 {
@@ -30,7 +15,7 @@ DepTracker::alloc()
         AMNESIAC_ASSERT(_size != kNoNode, "node arena exhausted");
         id = _size++;
         if ((id & (kPageNodes - 1)) == 0)
-            _pages.list.push_back(std::make_unique<Page>());
+            _pages.push_back(std::make_unique<Page>());
     }
     slot(id) = ProducerNode{};
     refs(id) = 1;

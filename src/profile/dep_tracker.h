@@ -106,8 +106,6 @@ inline constexpr std::uint16_t kSelfChainDepth = 8;
  * whose last reference drops is recycled (its slot returns to the free
  * list, cascading iteratively through its children). The tracker — and
  * therefore every NodeId it handed out — is confined to one thread.
- * Copying a tracker copies every page: the copy keeps the same NodeIds
- * and is fully independent of the original.
  */
 class DepTracker
 {
@@ -193,29 +191,17 @@ class DepTracker
         std::array<std::uint32_t, kPageNodes> refs{};
     };
 
-    /** The page table. Copying it deep-copies every page. */
-    struct Pages
-    {
-        std::vector<std::unique_ptr<Page>> list;
-
-        Pages() = default;
-        Pages(const Pages &other);
-        Pages &operator=(const Pages &other);
-        Pages(Pages &&) noexcept = default;
-        Pages &operator=(Pages &&) noexcept = default;
-    };
-
     ProducerNode &slot(NodeId id)
     {
-        return _pages.list[id >> kPageBits]->nodes[id & (kPageNodes - 1)];
+        return _pages[id >> kPageBits]->nodes[id & (kPageNodes - 1)];
     }
     const ProducerNode &slot(NodeId id) const
     {
-        return _pages.list[id >> kPageBits]->nodes[id & (kPageNodes - 1)];
+        return _pages[id >> kPageBits]->nodes[id & (kPageNodes - 1)];
     }
     std::uint32_t &refs(NodeId id)
     {
-        return _pages.list[id >> kPageBits]->refs[id & (kPageNodes - 1)];
+        return _pages[id >> kPageBits]->refs[id & (kPageNodes - 1)];
     }
 
     /** Fresh slot with refcount 1 (free list first, then growth). */
@@ -241,7 +227,7 @@ class DepTracker
             unref(old);
     }
 
-    Pages _pages;
+    std::vector<std::unique_ptr<Page>> _pages;
     std::uint32_t _size = 0;  ///< slots ever handed out (high-water)
     /** Recycled slots, chained through their `in1` links (LIFO). */
     NodeId _freeHead = kNoNode;

@@ -7,12 +7,11 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <type_traits>
 #include <unistd.h>
 
 #include "isa/serialize.h"
-#include "obs/manifest.h"
 #include "obs/span.h"
+#include "util/bytes.h"
 #include "util/json.h"
 #include "util/logging.h"
 
@@ -22,84 +21,8 @@ namespace {
 
 constexpr char kMagic[4] = {'A', 'M', 'N', 'C'};
 
-/** Append-only little-endian writer (mirrors isa/serialize.cc). */
-class Writer
-{
-  public:
-    template <typename T>
-    void
-    put(T value)
-    {
-        static_assert(std::is_trivially_copyable_v<T>);
-        std::uint8_t raw[sizeof(T)];
-        std::memcpy(raw, &value, sizeof(T));
-        _out.insert(_out.end(), raw, raw + sizeof(T));
-    }
-
-    void
-    putBytes(const void *data, std::size_t size)
-    {
-        const auto *raw = static_cast<const std::uint8_t *>(data);
-        _out.insert(_out.end(), raw, raw + size);
-    }
-
-    std::vector<std::uint8_t> take() { return std::move(_out); }
-    const std::vector<std::uint8_t> &bytes() const { return _out; }
-
-  private:
-    std::vector<std::uint8_t> _out;
-};
-
-/** Bounds-checked reader; any overrun latches an error flag. */
-class Reader
-{
-  public:
-    explicit Reader(const std::vector<std::uint8_t> &bytes)
-        : _bytes(&bytes)
-    {
-    }
-
-    template <typename T>
-    T
-    get()
-    {
-        static_assert(std::is_trivially_copyable_v<T>);
-        T value{};
-        if (_failed || _pos + sizeof(T) > _bytes->size()) {
-            _failed = true;
-            return value;
-        }
-        std::memcpy(&value, _bytes->data() + _pos, sizeof(T));
-        _pos += sizeof(T);
-        return value;
-    }
-
-    bool
-    getBytes(void *out, std::size_t size)
-    {
-        if (_failed || _pos + size > _bytes->size()) {
-            _failed = true;
-            return false;
-        }
-        std::memcpy(out, _bytes->data() + _pos, size);
-        _pos += size;
-        return true;
-    }
-
-    std::size_t remaining() const
-    {
-        return _failed ? 0 : _bytes->size() - _pos;
-    }
-    bool failed() const { return _failed; }
-
-  private:
-    const std::vector<std::uint8_t> *_bytes;
-    std::size_t _pos = 0;
-    bool _failed = false;
-};
-
 void
-putStats(Writer &w, const CompileStats &s)
+putStats(ByteWriter &w, const CompileStats &s)
 {
     w.put(s.sitesSeen);
     w.put(s.rejectedCold);
@@ -118,7 +41,7 @@ putStats(Writer &w, const CompileStats &s)
 }
 
 CompileStats
-getStats(Reader &r)
+getStats(ByteReader &r)
 {
     CompileStats s;
     s.sitesSeen = r.get<std::uint64_t>();
@@ -139,7 +62,7 @@ getStats(Reader &r)
 }
 
 void
-putSlice(Writer &w, const RSlice &slice)
+putSlice(ByteWriter &w, const RSlice &slice)
 {
     w.put(slice.loadPc);
     w.put(static_cast<std::uint64_t>(slice.instrs.size()));
@@ -167,7 +90,7 @@ putSlice(Writer &w, const RSlice &slice)
 }
 
 bool
-getSlice(Reader &r, RSlice &slice)
+getSlice(ByteReader &r, RSlice &slice)
 {
     slice.loadPc = r.get<std::uint32_t>();
     std::uint64_t count = r.get<std::uint64_t>();
@@ -300,10 +223,7 @@ ArtifactCache::key(const Program &program, const EnergyConfig &e,
     std::string s;
     s.reserve(1024);
     std::vector<std::uint8_t> bytes = serializeProgram(program);
-    appendConfigU64(s, "program",
-                    fnv1aDigest(std::string_view(
-                        reinterpret_cast<const char *>(bytes.data()),
-                        bytes.size())));
+    appendConfigU64(s, "program", fnv1aDigest(bytes.data(), bytes.size()));
     appendConfigU64(s, "amnbVersion", kProgramFormatVersion);
     appendConfigU64(s, "cacheVersion", kArtifactCacheVersion);
     appendCompileConfig(s, e, h, c);
@@ -347,14 +267,10 @@ ArtifactCache::loadValidated(std::uint64_t key) const
     if (bytes.size() < sizeof(kMagic) + sizeof(std::uint32_t) +
                            3 * sizeof(std::uint64_t))
         return std::nullopt;
-    std::uint64_t stored_sum = 0;
-    std::memcpy(&stored_sum, bytes.data() + bytes.size() - 8, 8);
-    if (fnv1aDigest(std::string_view(
-            reinterpret_cast<const char *>(bytes.data()),
-            bytes.size() - 8)) != stored_sum)
+    if (!checksumMatches(bytes))
         return std::nullopt;
 
-    Reader r(bytes);
+    ByteReader r(bytes);
     char magic[4];
     if (!r.getBytes(magic, sizeof(magic)) ||
         std::memcmp(magic, kMagic, sizeof(kMagic)) != 0)
@@ -393,7 +309,7 @@ void
 ArtifactCache::store(std::uint64_t key, const CompileResult &result) const
 {
     ScopedSpan span("cache:publish");
-    Writer w;
+    ByteWriter w;
     w.putBytes(kMagic, sizeof(kMagic));
     w.put(kArtifactCacheVersion);
     w.put(key);
@@ -404,9 +320,7 @@ ArtifactCache::store(std::uint64_t key, const CompileResult &result) const
     w.put(static_cast<std::uint64_t>(result.slices.size()));
     for (const RSlice &slice : result.slices)
         putSlice(w, slice);
-    w.put(fnv1aDigest(std::string_view(
-        reinterpret_cast<const char *>(w.bytes().data()),
-        w.bytes().size())));
+    w.putChecksum();
     span.counter("bytes", w.bytes().size());
 
     // Unique temp name per writer, then an atomic rename: concurrent

@@ -85,10 +85,11 @@ struct DifferentialReport
 
 /**
  * Run the full differential check for one case. Compiles the case's
- * workload twice (probabilistic + oracle slice sets), analyzer-checks
- * the binaries, then executes classic + every requested policy,
- * attaching a fresh FaultInjector per amnesic run when the case plans
- * faults. Deterministic: same case, same report, byte for byte.
+ * workload under one profile (the probabilistic slice set, plus the
+ * oracle set when a requested policy needs it; see compileSets()),
+ * analyzer-checks the binary, then executes classic + every requested
+ * policy, attaching a fresh FaultInjector per amnesic run when the case
+ * plans faults. Deterministic: same case, same report, byte for byte.
  *
  * `trace` (optional) is attached to every amnesic machine, which lets
  * tests prove the tracer's transparency: the report must be identical

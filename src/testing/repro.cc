@@ -210,19 +210,6 @@ class FlatReader
     std::map<std::string, std::string> _map;
 };
 
-bool
-parsePolicy(const std::string &name, Policy &out)
-{
-    for (Policy p : {Policy::Compiler, Policy::FLC, Policy::LLC,
-                     Policy::COracle, Policy::Oracle, Policy::Predictor}) {
-        if (name == policyName(p)) {
-            out = p;
-            return true;
-        }
-    }
-    return false;
-}
-
 }  // namespace
 
 std::string

@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests for the command-line parser shared by the bench harnesses
- * (bench/common.h): well-formed values parse, and a numeric flag whose
- * value does not parse in full, or does not fit, exits with the usage
+ * (bench/common.h over util/args.h): well-formed values parse, and a
+ * numeric flag whose value does not parse in full, or does not fit, a
+ * missing value and a value on a switch each exit with the usage
  * message. No case here starts a run.
  */
 
@@ -66,6 +67,23 @@ TEST(BenchArgs, RejectsNonNumericValues)
                     "bad value .*usage:")
             << args[0];
     }
+    // An empty inline value is a value, and not a number.
+    EXPECT_EXIT(parse({"--seed="}), ::testing::ExitedWithCode(2),
+                "bad value '' for --seed.*usage:");
+}
+
+TEST(BenchArgs, RejectsAMissingValue)
+{
+    EXPECT_EXIT(parse({"--seed", "3", "--jobs"}),
+                ::testing::ExitedWithCode(2),
+                "missing value for --jobs.*usage:");
+}
+
+TEST(BenchArgs, RejectsAValueOnASwitch)
+{
+    // It used to disable the cache whatever the value said.
+    EXPECT_EXIT(parse({"--no-cache=1"}), ::testing::ExitedWithCode(2),
+                "--no-cache takes no value.*usage:");
 }
 
 }  // namespace

@@ -289,81 +289,8 @@ TEST(DepTracker, PinKeepsSubgraphAlive)
     EXPECT_EQ(t.node(t.node(pinned).in1).pc, 1u);
 }
 
-// --- copied arenas: a copy of a tracker must preserve ids, pins,
-// tree structure, and the global sequence numbering exactly. ---
-
-TEST(DepTracker, CopiedArenaPreservesIdsAndPins)
-{
-    DepTracker t;
-    t.onAlu(1, alu(Opcode::Li, 1, 0, 0, 5), 5);
-    t.onAlu(2, alu(Opcode::Li, 2, 0, 0, 7), 7);
-    t.onAlu(3, alu(Opcode::Mul, 3, 1, 2), 35);
-    NodeId root = t.regProducer(3);
-    t.pin(root);
-
-    DepTracker copy = t;
-    // NodeIds are arena indexes, so they stay valid verbatim in the
-    // copy, links included, and the trees match node for node.
-    EXPECT_EQ(copy.regProducer(3), root);
-    EXPECT_EQ(copy.node(root).in1, t.node(root).in1);
-    EXPECT_EQ(copy.node(root).in2, t.node(root).in2);
-    expectSameShape(t, root, copy, root);
-    EXPECT_EQ(copy.node(root).seq, t.node(root).seq);
-
-    // Diverge both sides; the pin must hold independently in each
-    // arena (recycling in one must not disturb the other).
-    t.onAlu(4, alu(Opcode::Li, 3, 0, 0, 0), 0);
-    copy.onAlu(5, alu(Opcode::Li, 3, 0, 0, 1), 1);
-    copy.onAlu(6, alu(Opcode::Li, 1, 0, 0, 2), 2);
-    expectSameShape(t, root, copy, root);
-    EXPECT_EQ(t.node(t.node(root).in1).pc, 1u);
-    EXPECT_EQ(copy.node(copy.node(root).in2).pc, 2u);
-    EXPECT_EQ(t.node(root).value, 35u);
-    EXPECT_EQ(copy.node(root).value, 35u);
-}
-
-TEST(DepTracker, CopiedArenaContinuesSequenceNumbers)
-{
-    DepTracker t;
-    t.onAlu(1, alu(Opcode::Li, 1, 0, 0, 1), 1);
-    t.onAlu(2, alu(Opcode::Li, 2, 0, 0, 2), 2);
-    std::uint64_t boundary_seq = t.node(t.regProducer(2)).seq;
-
-    // Pinning (what the profiler does to representatives) must not
-    // advance the dynamic sequence: the materialized slice order
-    // follows it.
-    t.pin(t.regProducer(1));
-    DepTracker copy = t;
-    copy.onAlu(3, alu(Opcode::Add, 3, 1, 2), 3);
-    EXPECT_EQ(copy.node(copy.regProducer(3)).seq, boundary_seq + 1);
-
-    // The original continues on the same numbering: the two arenas
-    // assign the *same* seq to the same dynamic production.
-    t.onAlu(3, alu(Opcode::Add, 3, 1, 2), 3);
-    EXPECT_EQ(t.node(t.regProducer(3)).seq,
-              copy.node(copy.regProducer(3)).seq);
-}
-
-TEST(DepTracker, CopiedArenaRecyclesIndependently)
-{
-    DepTracker t;
-    t.onAlu(1, alu(Opcode::Li, 1, 0, 0, 1), 1);
-    t.onAlu(2, alu(Opcode::Li, 2, 0, 0, 2), 2);
-    DepTracker copy = t;
-
-    // Churn the copy hard: its free list must recycle its own arena
-    // without ever growing past the serial steady state, and the
-    // original's chains stay untouched.
-    for (int i = 0; i < 1000; ++i)
-        copy.onAlu(3, alu(Opcode::Add, 4, 1, 2), 3);
-    EXPECT_LT(copy.arenaSize(), 64u);
-    EXPECT_EQ(t.node(t.regProducer(1)).value, 1u);
-    EXPECT_EQ(t.node(t.regProducer(2)).value, 2u);
-    EXPECT_EQ(t.productions(), 2u);
-}
-
-// --- paged arena: nodes stay 32 bytes, pages never move, copies are
-// deep, and the dense memory table has no producer past its end. ---
+// --- paged arena: nodes stay 32 bytes, pages never move, and the
+// dense memory table has no producer past its end. ---
 
 TEST(DepTracker, ProducerNodeIsCompact)
 {
@@ -400,34 +327,6 @@ TEST(DepTracker, GrowthAcrossPagesKeepsEarlierNodes)
         EXPECT_EQ(t.node(ids[i]).pc, i);
         EXPECT_EQ(t.node(ids[i]).value, i);
         EXPECT_EQ(t.node(ids[i]).seq, i + 2);
-    }
-}
-
-TEST(DepTracker, CopiedTrackerIsDeepAcrossPages)
-{
-    DepTracker t;
-    const std::uint32_t count = 2 * DepTracker::kPageNodes + 5;
-    std::vector<NodeId> ids = pinnedChain(t, count);
-    DepTracker copy = t;
-    EXPECT_EQ(copy.arenaSize(), t.arenaSize());
-    for (std::uint32_t i = 0; i < count; ++i)
-        ASSERT_EQ(copy.node(ids[i]).value, i);
-
-    // Grow and churn each side separately: neither sees the other's
-    // nodes, and both keep their own pinned pages intact.
-    for (std::uint32_t i = 0; i < DepTracker::kPageNodes; ++i) {
-        t.onAlu(7, alu(Opcode::Li, 3, 0, 0, 1), 1000 + i);
-        t.pin(t.regProducer(3));
-        copy.onAlu(8, alu(Opcode::Li, 3, 0, 0, 2), 5000 + i);
-    }
-    EXPECT_GT(t.arenaSize(), copy.arenaSize());
-    EXPECT_EQ(t.node(t.regProducer(3)).pc, 7u);
-    EXPECT_EQ(copy.node(copy.regProducer(3)).pc, 8u);
-    EXPECT_EQ(copy.node(copy.regProducer(3)).value,
-              5000u + DepTracker::kPageNodes - 1);
-    for (std::uint32_t i = 0; i < count; ++i) {
-        ASSERT_EQ(t.node(ids[i]).value, i);
-        ASSERT_EQ(copy.node(ids[i]).value, i);
     }
 }
 

@@ -3,6 +3,8 @@
  * Tests for the policy enumeration helpers.
  */
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "core/policy.h"
@@ -33,6 +35,21 @@ TEST(Policy, OnlyOracleNeedsTheOracleSet)
     EXPECT_FALSE(needsOracleSet(Policy::Compiler));
     EXPECT_FALSE(needsOracleSet(Policy::FLC));
     EXPECT_FALSE(needsOracleSet(Policy::LLC));
+}
+
+TEST(Policy, ParseRoundTripsEveryName)
+{
+    for (Policy policy : {Policy::Compiler, Policy::FLC, Policy::LLC,
+                          Policy::COracle, Policy::Oracle, Policy::Predictor}) {
+        Policy parsed = policy == Policy::FLC ? Policy::LLC : Policy::FLC;
+        EXPECT_TRUE(parsePolicy(std::string(policyName(policy)), parsed));
+        EXPECT_EQ(parsed, policy);
+    }
+    // Names are case-sensitive, and a failed parse leaves `out` alone.
+    Policy out = Policy::Oracle;
+    EXPECT_FALSE(parsePolicy("flc", out));
+    EXPECT_FALSE(parsePolicy("", out));
+    EXPECT_EQ(out, Policy::Oracle);
 }
 
 }  // namespace

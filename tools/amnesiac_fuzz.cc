@@ -20,8 +20,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -33,22 +31,12 @@
 #include "testing/minimize.h"
 #include "testing/oracle.h"
 #include "testing/repro.h"
+#include "util/args.h"
 #include "workloads/kernels.h"
 
 namespace {
 
 using namespace amnesiac;
-
-[[noreturn]] void
-usage(const char *argv0)
-{
-    std::fprintf(stderr,
-                 "usage: %s [--seed <n>] [--runs <n>] [--start <n>] "
-                 "[--fault-rate <p>] [--replay <file>] [--minimize] "
-                 "[--out <dir>] [--quiet]\n",
-                 argv0);
-    std::exit(2);
-}
 
 /** Serialize a failing (possibly minimized) case into the out dir. */
 void
@@ -92,31 +80,30 @@ main(int argc, char **argv)
     bool minimize = false;
     bool quiet = false;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc)
-                usage(argv[0]);
-            return argv[++i];
-        };
-        if (arg == "--seed") {
-            seed = std::strtoull(next(), nullptr, 10);
-        } else if (arg == "--runs") {
-            runs = std::strtoull(next(), nullptr, 10);
-        } else if (arg == "--start") {
-            start = std::strtoull(next(), nullptr, 10);
-        } else if (arg == "--fault-rate") {
-            gen.faultProbability = std::strtod(next(), nullptr);
-        } else if (arg == "--replay") {
-            replay_path = next();
-        } else if (arg == "--minimize") {
+    ArgReader reader(argc, argv,
+                     "[--seed <n>] [--runs <n>] [--start <n>] "
+                     "[--fault-rate <p>] [--replay <file>] [--minimize] "
+                     "[--out <dir>] [--quiet]");
+    while (reader.next()) {
+        const std::string &flag = reader.arg();
+        if (flag == "--seed") {
+            seed = reader.number();
+        } else if (flag == "--runs") {
+            runs = reader.number();
+        } else if (flag == "--start") {
+            start = reader.number();
+        } else if (flag == "--fault-rate") {
+            gen.faultProbability = reader.real();
+        } else if (flag == "--replay") {
+            replay_path = reader.value();
+        } else if (flag == "--minimize") {
             minimize = true;
-        } else if (arg == "--out") {
-            out_dir = next();
-        } else if (arg == "--quiet") {
+        } else if (flag == "--out") {
+            out_dir = reader.value();
+        } else if (flag == "--quiet") {
             quiet = true;
         } else {
-            usage(argv[0]);
+            reader.unknown();
         }
     }
 

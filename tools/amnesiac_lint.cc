@@ -26,9 +26,8 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -37,14 +36,15 @@
 #include "core/compiler.h"
 #include "isa/serialize.h"
 #include "testing/repro.h"
+#include "util/args.h"
 #include "workloads/registry.h"
 
 namespace {
 
 using namespace amnesiac;
 
-const char kUsage[] =
-    "usage: %s [options] [binary.amnb ...]\n"
+const char kSynopsis[] =
+    "[options] [binary.amnb ...]\n"
     "\n"
     "  --workload <name>   compile a registered workload and lint the\n"
     "                      amnesic binary (repeatable)\n"
@@ -67,14 +67,7 @@ const char kUsage[] =
     "  0  every linted program is clean (notes never gate; warnings\n"
     "     gate only under --Werror)\n"
     "  1  at least one program has gating findings\n"
-    "  2  usage error, unknown workload/id, or unreadable input\n";
-
-[[noreturn]] void
-usage(const char *argv0)
-{
-    std::fprintf(stderr, kUsage, argv0);
-    std::exit(2);
-}
+    "  2  usage error, unknown workload/id, or unreadable input";
 
 int
 explainDiagnostic(const std::string &id)
@@ -121,57 +114,51 @@ main(int argc, char **argv)
     bool sarif = false;
     bool quiet = false;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc)
-                usage(argv[0]);
-            return argv[++i];
-        };
-        if (arg == "--workload") {
-            workload_names.push_back(next());
-        } else if (arg == "--all") {
+    ArgReader reader(argc, argv, kSynopsis);
+    while (reader.next()) {
+        const std::string &flag = reader.arg();
+        if (flag == "--workload") {
+            workload_names.push_back(reader.value());
+        } else if (flag == "--all") {
             all = true;
-        } else if (arg == "--case") {
-            case_paths.push_back(next());
-        } else if (arg == "--seed") {
-            seed = std::strtoull(next(), nullptr, 10);
-        } else if (arg == "--sfile") {
+        } else if (flag == "--case") {
+            case_paths.push_back(reader.value());
+        } else if (flag == "--seed") {
+            seed = reader.number();
+        } else if (flag == "--sfile") {
             options.sfileCapacity = static_cast<std::uint32_t>(
-                std::strtoul(next(), nullptr, 10));
-        } else if (arg == "--hist") {
+                reader.number(std::numeric_limits<std::uint32_t>::max()));
+        } else if (flag == "--hist") {
             options.histCapacity = static_cast<std::uint32_t>(
-                std::strtoul(next(), nullptr, 10));
-        } else if (arg == "--Werror") {
+                reader.number(std::numeric_limits<std::uint32_t>::max()));
+        } else if (flag == "--Werror") {
             werror = true;
-        } else if (arg == "--json") {
+        } else if (flag == "--json") {
             json = true;
-        } else if (arg == "--sarif") {
+        } else if (flag == "--sarif") {
             sarif = true;
-        } else if (arg == "--quiet") {
+        } else if (flag == "--quiet") {
             quiet = true;
-        } else if (arg == "--list-passes") {
+        } else if (flag == "--list-passes") {
             for (const PassInfo &pass : standardPasses())
                 std::printf("%-12s %-14s %s\n",
                             std::string(pass.name).c_str(),
                             std::string(pass.idRange).c_str(),
                             std::string(pass.summary).c_str());
             return 0;
-        } else if (arg == "--explain") {
-            return explainDiagnostic(next());
-        } else if (arg == "--help") {
-            std::printf(kUsage, argv[0]);
+        } else if (flag == "--explain") {
+            return explainDiagnostic(reader.value());
+        } else if (flag == "--help") {
+            reader.printUsage(stdout);
             return 0;
-        } else if (!arg.empty() && arg[0] == '-') {
-            usage(argv[0]);
         } else {
-            paths.push_back(arg);
+            paths.push_back(reader.positional());
         }
     }
     if (all)
         workload_names = registeredWorkloads();
     if (workload_names.empty() && paths.empty() && case_paths.empty())
-        usage(argv[0]);
+        reader.fail("nothing to lint");
 
     std::vector<LintTarget> targets;
     for (const std::string &path : paths) {

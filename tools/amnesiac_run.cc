@@ -1,6 +1,8 @@
 /**
  * @file
- * amnesiac-run: command-line driver for the full pipeline.
+ * amnesiac-run: command-line driver for the full pipeline on one
+ * workload, and the place to get every observability artifact of that
+ * run.
  *
  *   amnesiac-run [options] <workload>
  *
@@ -22,8 +24,11 @@
  *   --per-site-model       use the exact per-site Eld model instead of
  *                          the paper's global §3.1.1 model
  *   --trace <path>         write a Chrome/Perfetto trace of the run
+ *   --jsonl <path>         write the JSONL event stream
  *   --site-report <path>   write the ranked per-RCMP-site report
  *   --metrics <path>       write Prometheus metrics for the run
+ *   --manifest <path>      write the run manifest JSON
+ *   --memory               also trace every load/store (large!)
  *   --max-records <n>      per-policy trace buffer cap
  *   --prof                 host-side span profiling (flame table to
  *                          stderr at exit unless redirected)
@@ -34,186 +39,102 @@
  *   --save <path>          write the compiled amnesic binary and exit
  *   --disasm               dump the rewritten binary and exit
  *
- * Every value flag accepts both `--flag value` and `--flag=value`.
+ * Every value flag accepts both `--flag value` and `--flag=value`; an
+ * artifact path of /dev/stdout prints it. The event streams and site
+ * reports are deterministic: same (workload, policy, config, seed) →
+ * byte-identical artifacts, independent of --jobs.
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <iterator>
 #include <limits>
-#include <optional>
 #include <string>
+#include <vector>
 
 #include "bench/common.h"
 #include "isa/disasm.h"
 #include "isa/serialize.h"
 #include "obs/manifest.h"
 #include "report/experiment.h"
+#include "report/obs_export.h"
+#include "util/args.h"
 #include "util/table.h"
 #include "workloads/registry.h"
 
-namespace {
-
 using namespace amnesiac;
-
-std::optional<Policy>
-parsePolicy(const std::string &name)
-{
-    for (Policy policy : {Policy::Oracle, Policy::COracle, Policy::Compiler,
-                          Policy::FLC, Policy::LLC, Policy::Predictor})
-        if (name == policyName(policy))
-            return policy;
-    return std::nullopt;
-}
-
-[[noreturn]] void
-usage(const char *argv0)
-{
-    std::fprintf(stderr,
-                 "usage: %s [--list] [--policy <p>] [--seed <n>] "
-                 "[--jobs <n>] "
-                 "[--cache-dir <path>] [--no-cache] [--scale <x>] "
-                 "[--timing <scalar|pipelined>] "
-                 "[--predictor <nottaken|bimodal|gshare>] [--hist <n>] "
-                 "[--sfile <n>] [--per-site-model] [--trace <path>] "
-                 "[--site-report <path>] [--metrics <path>] "
-                 "[--max-records <n>] [--prof] [--prof-out <path>] "
-                 "[--prof-report <path>] [--csv] "
-                 "[--disasm] [--save <path>] <workload>\n",
-                 argv0);
-    std::exit(2);
-}
-
-}  // namespace
 
 int
 main(int argc, char **argv)
 {
     std::string workload_name;
-    std::string policy_arg = "all";
+    std::vector<Policy> policies(std::begin(kAllPolicies),
+                                 std::end(kAllPolicies));
     bench::BenchArgs args;
     ExperimentConfig &config = args.config;
     bool csv = false;
     bool disasm = false;
     std::string save_path;
+    std::string jsonl_path;
+    std::string manifest_path;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        std::string inline_value;
-        bool has_value = false;
-        if (arg.size() >= 2 && arg[0] == '-') {
-            if (auto eq = arg.find('='); eq != std::string::npos) {
-                inline_value = arg.substr(eq + 1);
-                arg.resize(eq);
-                has_value = true;
-            }
-        }
-        auto next = [&]() -> std::string {
-            if (has_value)
-                return inline_value;
-            if (i + 1 >= argc)
-                usage(argv[0]);
-            return argv[++i];
-        };
-        // Numeric values must parse in full (bench::parseNumber).
-        auto reject = [&](const std::string &text) {
-            std::fprintf(stderr, "%s: bad value '%s' for %s\n", argv[0],
-                         text.c_str(), arg.c_str());
-            usage(argv[0]);
-        };
-        auto number = [&](std::uint64_t max) {
-            const std::string text = next();
-            const std::optional<std::uint64_t> v =
-                bench::parseNumber(text, max);
-            if (!v)
-                reject(text);
-            return *v;
-        };
-        auto real = [&]() {
-            const std::string text = next();
-            const std::optional<double> v = bench::parseReal(text);
-            if (!v)
-                reject(text);
-            return *v;
-        };
-        if (arg == "--list") {
+    ArgReader reader(argc, argv,
+                     std::string("[--list] [--policy <p>] [--hist <n>] "
+                                 "[--sfile <n>] [--per-site-model] "
+                                 "[--jsonl <path>] [--manifest <path>] "
+                                 "[--memory] [--csv] [--disasm] "
+                                 "[--save <path>] ") +
+                         bench::kSharedSynopsis + " <workload>");
+    while (reader.next()) {
+        const std::string &flag = reader.arg();
+        if (bench::parseSharedFlag(reader, args))
+            continue;
+        if (flag == "--list") {
             for (const std::string &name : registeredWorkloads())
                 std::printf("%s\n", name.c_str());
             return 0;
-        } else if (arg == "--policy") {
-            policy_arg = next();
-        } else if (arg == "--seed") {
-            args.seed = number(std::numeric_limits<std::uint64_t>::max());
-        } else if (arg == "--jobs") {
-            config.jobs = static_cast<unsigned>(
-                number(std::numeric_limits<unsigned>::max()));
-        } else if (arg == "--cache-dir") {
-            config.cacheDir = next();
-        } else if (arg == "--no-cache") {
-            config.noCache = true;
-        } else if (arg == "--scale") {
-            config.energy.nonMemScale = real();
-        } else if (arg == "--timing") {
-            std::string name = next();
-            if (!parseTimingBackend(name, config.timing.backend)) {
-                std::fprintf(stderr, "unknown timing backend '%s'\n",
-                             name.c_str());
-                return 2;
-            }
-        } else if (arg == "--predictor") {
-            std::string name = next();
-            if (!parsePredictorKind(name, config.timing.predictor)) {
-                std::fprintf(stderr, "unknown predictor '%s'\n",
-                             name.c_str());
-                return 2;
-            }
-        } else if (arg == "--hist") {
+        } else if (flag == "--policy") {
+            const std::string name = reader.value();
+            Policy policy{};
+            if (parsePolicy(name, policy))
+                policies.assign(1, policy);
+            else if (name == "all")
+                policies.assign(std::begin(kAllPolicies),
+                                std::end(kAllPolicies));
+            else
+                reader.fail("unknown policy '" + name + "'");
+        } else if (flag == "--hist") {
             config.amnesic.histCapacity = static_cast<std::uint32_t>(
-                number(std::numeric_limits<std::uint32_t>::max()));
-        } else if (arg == "--sfile") {
+                reader.number(std::numeric_limits<std::uint32_t>::max()));
+        } else if (flag == "--sfile") {
             config.amnesic.sfileCapacity = static_cast<std::uint32_t>(
-                number(std::numeric_limits<std::uint32_t>::max()));
-        } else if (arg == "--per-site-model") {
+                reader.number(std::numeric_limits<std::uint32_t>::max()));
+        } else if (flag == "--per-site-model") {
             config.compiler.globalResidenceModel = false;
-        } else if (arg == "--trace") {
-            args.tracePath = next();
-        } else if (arg == "--site-report") {
-            args.siteReportPath = next();
-        } else if (arg == "--metrics") {
-            args.metricsPath = next();
-        } else if (arg == "--max-records") {
-            config.traceMaxRecords =
-                number(std::numeric_limits<std::size_t>::max());
-        } else if (arg == "--prof") {
-            args.prof = true;
-        } else if (arg == "--prof-out") {
-            args.profOutPath = next();
-        } else if (arg == "--prof-report") {
-            args.profReportPath = next();
-        } else if (arg == "--save") {
-            save_path = next();
-        } else if (arg == "--csv") {
+        } else if (flag == "--jsonl") {
+            jsonl_path = reader.value();
+        } else if (flag == "--manifest") {
+            manifest_path = reader.value();
+        } else if (flag == "--memory") {
+            config.traceMemory = true;
+        } else if (flag == "--save") {
+            save_path = reader.value();
+        } else if (flag == "--csv") {
             csv = true;
-        } else if (arg == "--disasm") {
+        } else if (flag == "--disasm") {
             disasm = true;
-        } else if (!arg.empty() && arg[0] == '-') {
-            usage(argv[0]);
         } else {
-            workload_name = arg;
+            workload_name = reader.positional();
         }
     }
     if (workload_name.empty())
-        usage(argv[0]);
+        reader.fail("no workload given");
     if (!isRegisteredWorkload(workload_name)) {
         std::fprintf(stderr, "unknown workload '%s' (try --list)\n",
                      workload_name.c_str());
         return 2;
     }
-    config.traceEvents = !args.tracePath.empty();
-    config.seed = args.seed;
-    args.prof = args.prof || !args.profOutPath.empty() ||
-                !args.profReportPath.empty();
-    bench::enableHostProfiling(args);
+    bench::finishArgs(args);
+    config.traceEvents = config.traceEvents || !jsonl_path.empty();
 
     Workload workload = makeWorkload(workload_name, args.seed);
     ExperimentRunner runner(config);
@@ -233,20 +154,16 @@ main(int argc, char **argv)
         return 0;
     }
 
-    std::vector<Policy> policies;
-    if (policy_arg == "all") {
-        policies.assign(kAllPolicies,
-                        kAllPolicies + std::size(kAllPolicies));
-    } else if (auto policy = parsePolicy(policy_arg)) {
-        policies.push_back(*policy);
-    } else {
-        std::fprintf(stderr, "unknown policy '%s'\n", policy_arg.c_str());
-        return 2;
-    }
-
-    BenchmarkResult result = runner.run(workload, policies);
+    const std::vector<BenchmarkResult> results = {
+        runner.run(workload, policies)};
+    const BenchmarkResult &result = results.front();
+    bench::writeObsArtifacts(args, results);
+    if (!jsonl_path.empty())
+        bench::writeArtifact(jsonl_path, renderRunTraceJsonl(results));
+    if (!manifest_path.empty())
+        bench::writeArtifact(manifest_path,
+                             renderManifestJson(result.manifest) + "\n");
     EnergyModel energy = runner.energyModel();
-    bench::writeObsArtifacts(args, {result});
 
     Table table({"policy", "EDP gain %", "energy gain %", "time gain %",
                  "recomputations", "fallbacks", "mismatches"});
