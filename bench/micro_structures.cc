@@ -2,8 +2,8 @@
  * @file
  * google-benchmark micro-benchmarks of the simulator's hot structures:
  * cache accesses, hierarchy walks, SFile/Hist operations, interpreter
- * throughput and dependence-tracker productions. These gate the
- * wall-clock cost of the experiment harnesses.
+ * throughput, dependence-tracker productions and the profiler's tree
+ * walk. These gate the wall-clock cost of the experiment harnesses.
  */
 
 #include <benchmark/benchmark.h>
@@ -14,6 +14,7 @@
 #include "profile/profiler.h"
 #include "sim/machine.h"
 #include "util/rng.h"
+#include "workloads/registry.h"
 
 namespace amnesiac {
 namespace {
@@ -136,6 +137,30 @@ BM_ProfiledThroughput(benchmark::State &state)
         static_cast<double>(instrs), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_ProfiledThroughput);
+
+void
+BM_ProfilerWalk(benchmark::State &state)
+{
+    // A whole profiling run of the ca mimic, counted per node its
+    // per-load tree walks visit (ca has among the most walk nodes per
+    // instruction). Read next to the tracker's own cost in
+    // BM_DepTrackerProduce.
+    Workload workload = makeWorkload("ca", 1);
+    EnergyModel energy;
+    std::uint64_t nodes = 0;
+    for (auto _ : state) {
+        Machine m(workload.program, energy);
+        Profiler profiler;
+        m.setObserver(&profiler);
+        m.run();
+        nodes += profiler.walkNodes();
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(nodes));
+    state.counters["walkNode"] = benchmark::Counter(
+        static_cast<double>(nodes),
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_ProfilerWalk)->Unit(benchmark::kMillisecond);
 
 void
 BM_DepTrackerProduce(benchmark::State &state)

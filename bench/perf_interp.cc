@@ -92,6 +92,7 @@ struct WorkloadResult
     std::uint64_t productions = 0;  ///< profiling-phase producer nodes
     std::uint64_t arenaNodes = 0;   ///< profiling-phase arena high-water
     std::uint64_t walkNodes = 0;    ///< profiling-phase tree-walk visits
+    std::uint64_t operandProbes = 0;  ///< profiling-phase operand probes
     std::string manifestJson;       ///< RunManifest of one pipeline run
     double compilePrunedSec = 0.0;    ///< best compile, static prune on
     double compileUnprunedSec = 0.0;  ///< best compile, static prune off
@@ -191,6 +192,7 @@ main(int argc, char **argv)
             r.productions = profiler.tracker().productions();
             r.arenaNodes = profiler.tracker().arenaSize();
             r.walkNodes = profiler.walkNodes();
+            r.operandProbes = profiler.operandProbes();
         }
 
         // --- amnesic interpretation (compile once, untimed) ---
@@ -299,6 +301,7 @@ main(int argc, char **argv)
         w.key("productions").integer(r.productions);
         w.key("arenaNodes").integer(r.arenaNodes);
         w.key("walkNodes").integer(r.walkNodes);
+        w.key("operandProbes").integer(r.operandProbes);
         w.key("compile").beginObject();
         w.key("prunedSec").raw(fixed(r.compilePrunedSec, 9));
         w.key("unprunedSec").raw(fixed(r.compileUnprunedSec, 9));

@@ -128,6 +128,7 @@ AmnesicCompiler::compileSets(const Program &input,
             machine.run(run_limit);
             const DepTracker &tracker = profile.tracker();
             span.counter("walkNodes", profile.walkNodes());
+            span.counter("operandProbes", profile.operandProbes());
             span.counter("productions", tracker.productions());
             span.counter("arenaNodes", tracker.arenaSize());
             span.counter("freeNodes", tracker.freeCount());

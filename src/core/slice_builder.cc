@@ -15,10 +15,8 @@ bool
 liveValid(const SiteProfile &site, const ProducerNode &node, int k,
           double threshold)
 {
-    auto it = site.operandLive.find(operandKey(node.pc, k));
-    if (it == site.operandLive.end() || it->second.seen == 0)
-        return false;
-    return it->second.rate() >= threshold;
+    const OperandLiveStat *stat = site.liveStat(node.pc, k);
+    return stat && stat->rate() >= threshold;
 }
 
 }  // namespace

@@ -62,10 +62,10 @@ namespace amnesiac {
 inline constexpr std::uint32_t kNoSpanParent = 0xffffffffu;
 
 /** Counter annotations per span record (fixed: records never allocate). */
-inline constexpr std::size_t kMaxSpanCounters = 4;
+inline constexpr std::size_t kMaxSpanCounters = 5;
 
 /**
- * One closed span, 168 bytes, fully self-contained (no pointers into
+ * One closed span, 192 bytes, fully self-contained (no pointers into
  * caller memory: names and counter keys are copied at record time, so
  * a record outlives every temporary it was built from).
  */

@@ -1,8 +1,28 @@
 #include "profile/dep_tracker.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
+#include <new>
 
 namespace amnesiac {
+
+DepTracker::PagePtr
+DepTracker::mapPage()
+{
+    void *memory = mmap(nullptr, sizeof(Page), PROT_READ | PROT_WRITE,
+                        MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (memory == MAP_FAILED)
+        throw std::bad_alloc();
+    return PagePtr(new (memory) Page);
+}
+
+void
+DepTracker::PageUnmap::operator()(Page *page) const
+{
+    page->~Page();
+    munmap(page, sizeof(Page));
+}
 
 NodeId
 DepTracker::alloc()
@@ -15,7 +35,7 @@ DepTracker::alloc()
         AMNESIAC_ASSERT(_size != kNoNode, "node arena exhausted");
         id = _size++;
         if ((id & (kPageNodes - 1)) == 0)
-            _pages.push_back(std::make_unique<Page>());
+            _pages.push_back(mapPage());
     }
     slot(id) = ProducerNode{};
     refs(id) = 1;
@@ -25,6 +45,12 @@ DepTracker::alloc()
 void
 DepTracker::unref(NodeId id)
 {
+    AMNESIAC_ASSERT(id < _size && refs(id) > 0, "bad unref");
+    if (refs(id) > 1) {
+        // Not the last reference: nothing is recycled.
+        --refs(id);
+        return;
+    }
     _reclaim.push_back(id);
     while (!_reclaim.empty()) {
         NodeId cur = _reclaim.back();

@@ -191,6 +191,22 @@ class DepTracker
         std::array<std::uint32_t, kPageNodes> refs{};
     };
 
+    /**
+     * Pages are mapped from the OS one by one, not taken from malloc,
+     * so a dead tracker's memory leaves the process at once. glibc
+     * serves a block this size from the calling thread's heap once its
+     * dynamic mmap threshold has risen past it, and keeps the freed
+     * heap resident for that thread alone: the workers of a parallel
+     * suite then each held their largest profile's arena, and the
+     * process peak depended on which worker had compiled what.
+     */
+    struct PageUnmap
+    {
+        void operator()(Page *page) const;
+    };
+    using PagePtr = std::unique_ptr<Page, PageUnmap>;
+    static PagePtr mapPage();
+
     ProducerNode &slot(NodeId id)
     {
         return _pages[id >> kPageBits]->nodes[id & (kPageNodes - 1)];
@@ -227,7 +243,7 @@ class DepTracker
             unref(old);
     }
 
-    std::vector<std::unique_ptr<Page>> _pages;
+    std::vector<PagePtr> _pages;
     std::uint32_t _size = 0;  ///< slots ever handed out (high-water)
     /** Recycled slots, chained through their `in1` links (LIFO). */
     NodeId _freeHead = kNoNode;

@@ -59,7 +59,7 @@ void
 Profiler::onExec(const Machine &m, std::uint32_t pc,
                  const Instruction &instr)
 {
-    if (pc >= _execCounts.size())
+    if (pc >= _execCounts.size()) [[unlikely]]
         _execCounts.resize(
             std::max<std::size_t>(pc + 1, m.program().code.size()));
     ++_execCounts[pc];
@@ -132,6 +132,8 @@ sigMix(std::uint64_t h, std::uint64_t v)
 void
 Profiler::analyzeTree(const Machine &m, SiteProfile &site, NodeId root)
 {
+    if (site.operandLive.empty())
+        site.operandLive.resize(2 * m.program().code.size());
     WalkBudget budget;
     std::uint64_t sig = walk(m, site, root, kMaxTreeDepth, budget);
     _walkNodes += static_cast<std::uint64_t>(
@@ -188,7 +190,7 @@ Profiler::walk(const Machine &m, SiteProfile &site, NodeId id,
     --budget.liveLeft;
 
     auto operand = [&](int idx, Reg read_reg, NodeId producer) {
-        OperandLiveStat &stat = site.operandLive[operandKey(node.pc, idx)];
+        OperandLiveStat &stat = site.operandLive[2 * node.pc + idx];
         ++stat.seen;
         // Live sourcing is legal for this instance iff the register the
         // replica would read holds the value the production consumed —
@@ -232,6 +234,16 @@ Profiler::sites() const
         if (profile.count != 0)
             result.push_back(&profile);
     return result;
+}
+
+std::uint64_t
+Profiler::operandProbes() const
+{
+    std::uint64_t probes = 0;
+    for (const SiteProfile &profile : _sites)
+        for (const OperandLiveStat &stat : profile.operandLive)
+            probes += stat.seen;
+    return probes;
 }
 
 std::uint64_t

@@ -10,7 +10,6 @@
 
 #include <array>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "profile/dep_tracker.h"
@@ -54,14 +53,6 @@ struct CandidateTree
     NodeId representative = kNoNode;
 };
 
-/** Live-operand statistics key: (node pc, operand index). */
-inline std::uint64_t
-operandKey(std::uint32_t node_pc, int operand_idx)
-{
-    return (static_cast<std::uint64_t>(node_pc) << 8) |
-           static_cast<std::uint64_t>(operand_idx);
-}
-
 /**
  * How often a boundary operand's register held the produced input
  * *value* at load time (→ Live sourcing legality, §2.2 case ii).
@@ -98,7 +89,14 @@ struct SiteProfile
     bool treeOverflow = false;
     /** Instances whose loaded value had no sliceable producer. */
     std::uint64_t untracked = 0;
-    std::unordered_map<std::uint64_t, OperandLiveStat> operandLive;
+    /**
+     * Live-operand statistics, one slot per (node pc, operand):
+     * slot 2 * node_pc + operand. Sized to twice the program on the
+     * site's first tree walk (empty while none has run): the walk
+     * probes a slot for every operand it visits, and a site's table is
+     * at most a few tens of KB. Read it through liveStat().
+     */
+    std::vector<OperandLiveStat> operandLive;
 
     /** Count one dynamic instance: its value and servicing level. */
     void recordLoad(std::uint64_t value, MemLevel serviced);
@@ -111,6 +109,18 @@ struct SiteProfile
      * (instances after the first); 0 below two instances.
      */
     double valueLocalityPercent() const;
+
+    /** Statistics of operand `operand_idx` of the production at
+     * `node_pc` (nullptr when no walk at this site ever reached it). */
+    const OperandLiveStat *
+    liveStat(std::uint32_t node_pc, int operand_idx) const
+    {
+        std::size_t slot = 2 * static_cast<std::size_t>(node_pc) +
+                           static_cast<std::size_t>(operand_idx);
+        if (slot >= operandLive.size() || operandLive[slot].seen == 0)
+            return nullptr;
+        return &operandLive[slot];
+    }
 
     /** Most frequent tree shape (nullptr when none recorded). */
     const CandidateTree *topTree() const;
@@ -151,6 +161,10 @@ class Profiler : public ExecutionObserver
      * enters) and the live statistics' (ALU nodes only).
      */
     std::uint64_t walkNodes() const { return _walkNodes; }
+
+    /** Operand-statistics probes of the walk so far: the sum of every
+     * site's `seen` (computed on demand, not in the walk). */
+    std::uint64_t operandProbes() const;
 
     /** The arena holding every candidate tree's representative. */
     const DepTracker &tracker() const { return _tracker; }

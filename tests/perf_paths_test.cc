@@ -145,6 +145,7 @@ expectProfilesIdentical(const Profiler &a, const Profiler &b)
 {
     EXPECT_EQ(a.tracker().productions(), b.tracker().productions());
     EXPECT_EQ(a.walkNodes(), b.walkNodes());
+    EXPECT_EQ(a.operandProbes(), b.operandProbes());
     std::vector<const SiteProfile *> sa = a.sites();
     std::vector<const SiteProfile *> sb = b.sites();
     ASSERT_EQ(sa.size(), sb.size());
@@ -164,11 +165,17 @@ expectProfilesIdentical(const Profiler &a, const Profiler &b)
             EXPECT_EQ(sa[i]->trees[t].count, sb[i]->trees[t].count);
         }
         ASSERT_EQ(sa[i]->operandLive.size(), sb[i]->operandLive.size());
-        for (const auto &[key, stat] : sa[i]->operandLive) {
-            auto it = sb[i]->operandLive.find(key);
-            ASSERT_NE(it, sb[i]->operandLive.end()) << "operand " << key;
-            EXPECT_EQ(stat.seen, it->second.seen) << "operand " << key;
-            EXPECT_EQ(stat.matches, it->second.matches) << "operand " << key;
+        for (std::size_t slot = 0; slot < sa[i]->operandLive.size();
+             ++slot) {
+            const auto node_pc = static_cast<std::uint32_t>(slot / 2);
+            const int idx = static_cast<int>(slot % 2);
+            const OperandLiveStat *a_stat = sa[i]->liveStat(node_pc, idx);
+            const OperandLiveStat *b_stat = sb[i]->liveStat(node_pc, idx);
+            ASSERT_EQ(a_stat == nullptr, b_stat == nullptr) << "slot " << slot;
+            if (a_stat) {
+                EXPECT_EQ(a_stat->seen, b_stat->seen) << "slot " << slot;
+                EXPECT_EQ(a_stat->matches, b_stat->matches) << "slot " << slot;
+            }
         }
     }
 }

@@ -95,6 +95,10 @@ def check_interp(base, fresh, ratio):
         check_exact(name, "productions", b["productions"], f["productions"])
         check_exact(name, "arenaNodes", b["arenaNodes"], f["arenaNodes"])
         check_exact(name, "walkNodes", b["walkNodes"], f["walkNodes"])
+        # Added within version 3: compared once the baseline has it.
+        if "operandProbes" in b:
+            check_exact(name, "operandProbes", b["operandProbes"],
+                        f.get("operandProbes"))
         check_exact(name, "compile.byteIdentical", True,
                     f["compile"]["byteIdentical"])
         check_exact(name, "compile.prunedCandidates",
