@@ -1,15 +1,17 @@
-# Runs `${PAPER} --seed 1` and fails unless its stdout equals the file
+# Runs `${BIN} ${ARGS}` and fails unless its stdout equals the file
 # ${GOLDEN} byte for byte. The stdout is kept in ${OUT} for diffing.
+# ARGS is one space-separated string.
 #
-#   cmake -DPAPER=<paper binary> -DGOLDEN=<golden file> -DOUT=<file> \
-#         -P compare.cmake
+#   cmake -DBIN=<binary> "-DARGS=<arguments>" -DGOLDEN=<golden file> \
+#         -DOUT=<file> -P compare.cmake
 
+separate_arguments(args UNIX_COMMAND "${ARGS}")
 execute_process(
-    COMMAND ${PAPER} --seed 1
+    COMMAND ${BIN} ${args}
     OUTPUT_FILE ${OUT}
     RESULT_VARIABLE status)
 if(NOT status EQUAL 0)
-    message(FATAL_ERROR "${PAPER} --seed 1 exited with ${status}")
+    message(FATAL_ERROR "${BIN} ${ARGS} exited with ${status}")
 endif()
 execute_process(
     COMMAND ${CMAKE_COMMAND} -E compare_files ${OUT} ${GOLDEN}
