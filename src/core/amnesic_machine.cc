@@ -9,8 +9,7 @@ AmnesicMachine::AmnesicMachine(const Program &program,
                                const AmnesicConfig &config,
                                const HierarchyConfig &hierarchy_config,
                                const TimingConfig &timing)
-    : Machine(program, energy, hierarchy_config,
-              static_cast<ExecutionHooks *>(this), timing),
+    : Machine(program, energy, hierarchy_config, timing),
       _config(config), _sfile(config.sfileCapacity),
       _hist(config.histCapacity), _ibuff(config.ibuffCapacity),
       _predictor(config.predictorLogEntries)
@@ -79,7 +78,7 @@ AmnesicMachine::runtimeSliceEnergy(std::uint32_t slice_id) const
 }
 
 void
-AmnesicMachine::execAmnesic(Machine &, const Instruction &instr)
+AmnesicMachine::execAmnesic(const Instruction &instr)
 {
     switch (instr.op) {
       case Opcode::Rec:

@@ -138,13 +138,13 @@ struct AmnesicConfig
  * Fault-injection extension point of the amnesic microarchitecture
  * (src/testing). Callbacks fire at the two points where checkpoint and
  * recomputation state is written, letting an injector flip bits or
- * drop writes the way an SEU in the Hist/SFile SRAM would. Combined
- * with MachineFaultHook (src/sim) for stepping-granularity faults and
- * the Hist/SFile/MemoryHierarchy corrupt/erase/invalidate mutators,
- * this is the complete fault surface of the differential-fuzzing
- * harness. Implementations must only perturb *microarchitectural*
- * state; the oracle's job is to prove such perturbations are masked by
- * the fallback paths or flagged by the shadow check — never silent.
+ * drop writes the way an SEU in the Hist/SFile SRAM would. Together
+ * with the Hist/SFile/MemoryHierarchy corrupt/erase/invalidate
+ * mutators, which an injector applies between step() calls, this is
+ * the complete fault surface of the differential-fuzzing harness.
+ * Implementations must only perturb *microarchitectural* state; the
+ * oracle's job is to prove such perturbations are masked by the
+ * fallback paths or flagged by the shadow check — never silent.
  */
 class AmnesicFaultHooks
 {
@@ -188,12 +188,12 @@ class AmnesicFaultHooks
  * is modeled); RTN copies the root value into the eliminated load's
  * destination register.
  *
- * Implementation-wise this is a Machine that installs itself as the
- * ExecutionHooks the interpreter calls back into for amnesic opcodes —
- * the §3.2 structures (SFile/Renamer/Hist/IBuff) live here, the
- * interpreter loop lives once in src/sim.
+ * Implementation-wise this is a Machine that overrides execAmnesic,
+ * which the interpreter calls for amnesic opcodes — the §3.2
+ * structures (SFile/Renamer/Hist/IBuff) live here, the interpreter
+ * loop lives once in src/sim.
  */
-class AmnesicMachine : public Machine, private ExecutionHooks
+class AmnesicMachine : public Machine
 {
   public:
     AmnesicMachine(const Program &program, const EnergyModel &energy,
@@ -231,7 +231,7 @@ class AmnesicMachine : public Machine, private ExecutionHooks
     SFile &mutableSFile() { return _sfile; }
 
   private:
-    void execAmnesic(Machine &machine, const Instruction &instr) override;
+    void execAmnesic(const Instruction &instr) override;
 
     /** Why a traversal stopped, plus how much of it ran (tracing). */
     struct TraverseResult

@@ -4,6 +4,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <map>
 
 namespace amnesiac {
@@ -262,11 +263,19 @@ aggregateSpans(const std::vector<SpanProfiler::ThreadSpans> &threads)
 std::string
 renderSpanFlameTable(const std::vector<SpanProfiler::ThreadSpans> &threads)
 {
-    const std::vector<SpanAggregate> rows = aggregateSpans(threads);
+    std::vector<SpanAggregate> rows = aggregateSpans(threads);
+    // The pool's wait records overlap work on the same thread (a queue
+    // wait runs while the worker is busy with the previous task), so
+    // they stay out of the self% denominator and print last.
+    auto waiting = [](const SpanAggregate &row) {
+        return row.name.starts_with("pool:") && row.name.ends_with("-wait");
+    };
+    std::stable_partition(rows.begin(), rows.end(), std::not_fn(waiting));
     double self_total = 0.0;
     std::size_t name_width = 4;  // "span"
     for (const SpanAggregate &row : rows) {
-        self_total += row.selfSec;
+        if (!waiting(row))
+            self_total += row.selfSec;
         name_width = std::max(name_width, row.name.size());
     }
     std::string out;
@@ -276,10 +285,14 @@ renderSpanFlameTable(const std::vector<SpanProfiler::ThreadSpans> &threads)
                   "self(s)", "self%");
     out += line;
     for (const SpanAggregate &row : rows) {
-        const double pct =
-            self_total > 0.0 ? 100.0 * row.selfSec / self_total : 0.0;
+        char pct[16] = "wait";
+        if (!waiting(row))
+            std::snprintf(pct, sizeof(pct), "%6.2f%%",
+                          self_total > 0.0
+                              ? 100.0 * row.selfSec / self_total
+                              : 0.0);
         std::snprintf(line, sizeof(line),
-                      "%-*s %10" PRIu64 " %12.6f %12.6f %6.2f%%\n",
+                      "%-*s %10" PRIu64 " %12.6f %12.6f %7s\n",
                       static_cast<int>(name_width), row.name.c_str(),
                       row.count, row.totalSec, row.selfSec, pct);
         out += line;

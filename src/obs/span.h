@@ -265,7 +265,9 @@ struct SpanAggregate
 std::vector<SpanAggregate> aggregateSpans(
     const std::vector<SpanProfiler::ThreadSpans> &threads);
 
-/** Render the aggregated flame table as aligned text (--prof-report). */
+/** Render the aggregated flame table as aligned text (--prof-report).
+ * self% is each work row's share of all work self time; the pool's
+ * `pool:*-wait` rows follow the work rows, marked "wait" instead. */
 std::string renderSpanFlameTable(
     const std::vector<SpanProfiler::ThreadSpans> &threads);
 

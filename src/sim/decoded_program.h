@@ -31,8 +31,8 @@ class TimingModel;
 
 /**
  * Dense dispatch kind. One enumerator per fast-path opcode, plus:
- *  - Amnesic: Rcmp/Rec/Rtn, delegated to the ExecutionHooks strategy
- *    (fatal without hooks, exactly like execOne);
+ *  - Amnesic: Rcmp/Rec/Rtn, delegated to Machine::execAmnesic (fatal
+ *    on a plain Machine, exactly like execOne);
  *  - Generic: anything whose execution must go through the slow path.
  */
 enum class DispatchKind : std::uint8_t {

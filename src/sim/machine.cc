@@ -51,13 +51,13 @@ faultInstructionLimit(const std::string &program)
 
 Machine::Machine(const Program &program, const EnergyModel &energy,
                  const HierarchyConfig &hierarchy_config,
-                 ExecutionHooks *hooks, const TimingConfig &timing)
+                 const TimingConfig &timing)
     : _program(program), _energy(energy), _timing(makeTimingModel(timing)),
       _pipe(timing.backend == TimingBackend::Pipelined
                 ? static_cast<PipelinedTimingModel *>(_timing.get())
                 : nullptr),
       _decoded(_program, _energy, *_timing), _hierarchy(hierarchy_config),
-      _memory(program.dataImage), _hooks(hooks)
+      _memory(program.dataImage)
 {
     AMNESIAC_ASSERT(!program.code.empty(), "empty program");
 }
@@ -65,32 +65,18 @@ Machine::Machine(const Program &program, const EnergyModel &energy,
 void
 Machine::run(std::uint64_t max_instrs)
 {
-    // Resolve the attached extension points and the timing backend
-    // once: each configuration gets a loop with the unused callback
-    // sites compiled out.
-    unsigned key = (_pipe ? 8u : 0u) | (_hooks ? 4u : 0u) |
-                   (_observer ? 2u : 0u) | (_fault_hook ? 1u : 0u);
-    switch (key) {
-      case 0:  runLoop<false, false, false, false>(max_instrs); break;
-      case 1:  runLoop<false, false, true,  false>(max_instrs); break;
-      case 2:  runLoop<false, true,  false, false>(max_instrs); break;
-      case 3:  runLoop<false, true,  true,  false>(max_instrs); break;
-      case 4:  runLoop<true,  false, false, false>(max_instrs); break;
-      case 5:  runLoop<true,  false, true,  false>(max_instrs); break;
-      case 6:  runLoop<true,  true,  false, false>(max_instrs); break;
-      case 7:  runLoop<true,  true,  true,  false>(max_instrs); break;
-      case 8:  runLoop<false, false, false, true>(max_instrs); break;
-      case 9:  runLoop<false, false, true,  true>(max_instrs); break;
-      case 10: runLoop<false, true,  false, true>(max_instrs); break;
-      case 11: runLoop<false, true,  true,  true>(max_instrs); break;
-      case 12: runLoop<true,  false, false, true>(max_instrs); break;
-      case 13: runLoop<true,  false, true,  true>(max_instrs); break;
-      case 14: runLoop<true,  true,  false, true>(max_instrs); break;
-      case 15: runLoop<true,  true,  true,  true>(max_instrs); break;
+    // Resolve the observer and the timing backend once: each
+    // configuration gets a loop with the unused callback sites
+    // compiled out.
+    switch ((_pipe ? 2u : 0u) | (_observer ? 1u : 0u)) {
+      case 0: runLoop<false, false>(max_instrs); break;
+      case 1: runLoop<true,  false>(max_instrs); break;
+      case 2: runLoop<false, true>(max_instrs); break;
+      case 3: runLoop<true,  true>(max_instrs); break;
     }
 }
 
-template <bool HasHooks, bool HasObserver, bool HasFault, bool Pipelined>
+template <bool HasObserver, bool Pipelined>
 void
 Machine::runLoop(std::uint64_t max_instrs)
 {
@@ -106,8 +92,6 @@ Machine::runLoop(std::uint64_t max_instrs)
             faultInstructionLimit(_program.name);
         ++executed;
         AMNESIAC_ASSERT(_pc < code_size, "pc out of range");
-        if (HasFault && _fault_hook)
-            _fault_hook->onStep(*this, _stats.dynInstrs);
         const std::uint32_t pc = _pc;
         const DecodedInstr &d = dcode[pc];
         const Instruction &instr = code[pc];
@@ -230,11 +214,8 @@ Machine::runLoop(std::uint64_t max_instrs)
             // episode as a break in the plain in-order stream.
             if constexpr (Pipelined)
                 _pipe->onPipelineBreak();
-            if constexpr (HasHooks)
-                _hooks->execAmnesic(*this, instr);
-            else
-                faultAmnesicOpcode(instr.op);
-            continue;  // the hook manages pc itself
+            execAmnesic(instr);
+            continue;  // execAmnesic manages pc itself
           case DispatchKind::Generic:
             AMNESIAC_PANIC("runLoop: Generic handled above");
         }
@@ -250,8 +231,6 @@ Machine::step()
     if (_halted)
         return false;
     AMNESIAC_ASSERT(_pc < _program.code.size(), "pc out of range");
-    if (_fault_hook)
-        _fault_hook->onStep(*this, _stats.dynInstrs);
     const Instruction &instr = _program.code[_pc];
     if (_observer)
         _observer->onExec(*this, _pc, instr);
@@ -271,6 +250,12 @@ Machine::step()
             _pipe->onRetire(_stats, d, pc_before, _pc);
     }
     return !_halted;
+}
+
+void
+Machine::execAmnesic(const Instruction &instr)
+{
+    faultAmnesicOpcode(instr.op);
 }
 
 void
@@ -435,10 +420,8 @@ Machine::execOne(const Instruction &instr)
       case Opcode::Rcmp:
       case Opcode::Rec:
       case Opcode::Rtn:
-        if (!_hooks)
-            faultAmnesicOpcode(instr.op);
-        _hooks->execAmnesic(*this, instr);
-        return;  // the hook manages pc itself
+        execAmnesic(instr);
+        return;  // execAmnesic manages pc itself
       default:
         AMNESIAC_PANIC("execOne: bad opcode");
     }

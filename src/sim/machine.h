@@ -5,12 +5,11 @@
  * for the target ISA over the Table 3 memory hierarchy.
  *
  * Execution modes differ only in how they handle the amnesic opcodes
- * (RCMP / REC / RTN), which the machine routes through an ExecutionHooks
- * extension point: a plain Machine installs no hooks (classic execution:
- * amnesic opcodes are then a fatal error), the amnesic machine
- * (src/core) derives from Machine and installs itself as the hooks
- * implementing the §3.3 scheduler. Register, memory, timing and stats
- * plumbing exists exactly once, here.
+ * (RCMP / REC / RTN), which the machine routes through one virtual,
+ * execAmnesic: a plain Machine's version is a fatal error (classic
+ * execution), the amnesic machine (src/core) derives from Machine and
+ * overrides it with the §3.3 scheduler. Register, memory, timing and
+ * stats plumbing exists exactly once, here.
  */
 
 #ifndef AMNESIAC_SIM_MACHINE_H
@@ -70,47 +69,14 @@ class ExecutionObserver
 };
 
 /**
- * Fault-injection extension point (src/testing): called before every
- * instruction with the number of instructions already executed, so an
- * injector can perturb *microarchitectural* state (cache placement,
- * Hist/SFile contents via the owning machine) at a deterministic point
- * of the dynamic instruction stream. Implementations must never touch
- * architectural state (registers, memory, pc) — the differential
- * oracle's transparency claim is precisely that such perturbations
- * cannot change the program's outcome.
- */
-class MachineFaultHook
-{
-  public:
-    virtual ~MachineFaultHook() = default;
-
-    virtual void onStep(Machine &machine, std::uint64_t executed_instrs) = 0;
-};
-
-/**
- * Active extension point: the machine delegates every amnesic opcode
- * (Rcmp/Rec/Rtn) here. Implementations own the instruction's complete
- * semantics — they must advance the pc themselves and do their own
- * accounting through the machine's protected charge helpers, so the
- * implementer is a Machine subclass (AmnesicMachine).
- */
-class ExecutionHooks
-{
-  public:
-    virtual ~ExecutionHooks() = default;
-
-    virtual void execAmnesic(Machine &machine, const Instruction &instr) = 0;
-};
-
-/**
  * The interpreter. Timing model: one instruction in flight,
  * per-category latencies, blocking loads. A plain Machine executes
- * classic binaries: encountering any amnesic opcode is a fatal error
- * (classic execution is the null hook). AmnesicMachine (src/core)
- * extends it with the §3.2 structures and the §3.3 scheduler.
+ * classic binaries: encountering any amnesic opcode is a fatal error.
+ * AmnesicMachine (src/core) extends it with the §3.2 structures and
+ * overrides execAmnesic with the §3.3 scheduler.
  *
  * The mutation helpers (writeReg, charge*, setPc, ...) are protected:
- * they are the API the hooks subclass builds amnesic semantics from. A
+ * they are the API the subclass builds amnesic semantics from. A
  * machine is confined to one thread; distinct machines share nothing
  * and may run concurrently (see util/thread_pool.h).
  */
@@ -127,19 +93,19 @@ class Machine
      */
     Machine(const Program &program, const EnergyModel &energy,
             const HierarchyConfig &hierarchy_config = {},
-            const TimingConfig &timing = {})
-        : Machine(program, energy, hierarchy_config, nullptr, timing)
-    {
-    }
+            const TimingConfig &timing = {});
+    virtual ~Machine() = default;
+    Machine(const Machine &) = delete;
+    Machine &operator=(const Machine &) = delete;
 
     /**
      * Run until HALT.
      *
      * Dispatches through a predecoded fast loop specialized once for
-     * the attached extension points (hooks/observer/fault hook), so the
-     * bare classic and amnesic configurations pay no per-instruction
-     * null checks or virtual calls. Observable behavior is identical to
-     * calling step() until halted.
+     * the attached observer and the timing backend, so the bare classic
+     * and amnesic configurations pay no per-instruction null checks or
+     * virtual calls (amnesic opcodes alone go through execAmnesic).
+     * Observable behavior is identical to calling step() until halted.
      *
      * @param max_instrs fatal runaway guard: at most max_instrs
      *        instruction dispatches are allowed (including the halting
@@ -169,9 +135,6 @@ class Machine
     /** Attach at most one observer (nullptr detaches). */
     void setObserver(ExecutionObserver *observer) { _observer = observer; }
 
-    /** Attach at most one fault hook (nullptr detaches; testing API). */
-    void setFaultHook(MachineFaultHook *hook) { _fault_hook = hook; }
-
     /** Mutable hierarchy for placement-only fault injection (testing
      * API; never used by production paths). */
     MemoryHierarchy &mutableHierarchy() { return _hierarchy; }
@@ -187,14 +150,14 @@ class Machine
 
   protected:
     /**
-     * Extension-point constructor: a subclass installs its hooks.
-     * @param hooks amnesic-opcode handler; nullptr = classic execution
+     * Execute one amnesic opcode (Rcmp/Rec/Rtn). The override owns the
+     * instruction's complete semantics: it advances the pc itself and
+     * does its own accounting through the charge helpers below. The
+     * base version is classic execution's fatal error.
      */
-    Machine(const Program &program, const EnergyModel &energy,
-            const HierarchyConfig &hierarchy_config, ExecutionHooks *hooks,
-            const TimingConfig &timing = {});
+    virtual void execAmnesic(const Instruction &instr);
 
-    // --- state-mutation API for the hooks subclass ---
+    // --- state-mutation API for the amnesic subclass ---
     void writeReg(Reg r, std::uint64_t value);
     std::uint64_t readReg(Reg r) const;
     /** Effective address of a memory instruction; validates alignment. */
@@ -247,14 +210,13 @@ class Machine
     void chargeWritebacks(const HierarchyAccess &access);
 
     /**
-     * The predecoded run loop, specialized at run() entry for the
-     * extension points actually attached (hooks/observer/fault hook)
-     * and the timing backend, so the common configurations carry no
-     * dead per-instruction branches — in particular the scalar fast
-     * path compiles out the retirement-event calls entirely.
+     * The predecoded run loop, specialized at run() entry for whether
+     * an observer is attached and for the timing backend, so the
+     * common configurations carry no dead per-instruction branches —
+     * in particular the scalar fast path compiles out the
+     * retirement-event calls entirely.
      */
-    template <bool HasHooks, bool HasObserver, bool HasFault,
-              bool Pipelined>
+    template <bool HasObserver, bool Pipelined>
     void runLoop(std::uint64_t max_instrs);
 
     Program _program;
@@ -272,8 +234,6 @@ class Machine
     bool _halted = false;
     SimStats _stats;
     ExecutionObserver *_observer = nullptr;
-    ExecutionHooks *_hooks = nullptr;
-    MachineFaultHook *_fault_hook = nullptr;
 };
 
 inline std::uint64_t

@@ -1,5 +1,6 @@
 #include "testing/fault.h"
 
+#include <algorithm>
 #include <sstream>
 
 #include "util/logging.h"
@@ -45,10 +46,22 @@ FaultInjector::FaultInjector(FaultPlan plan, std::uint64_t rng_seed)
 }
 
 void
-FaultInjector::attach(AmnesicMachine &machine)
+FaultInjector::run(AmnesicMachine &machine, std::uint64_t max_instrs)
 {
     machine.setFaultHooks(this);
-    machine.setFaultHook(this);
+    bool evicts = std::any_of(_plan.begin(), _plan.end(),
+                              [](const FaultSpec &spec) {
+                                  return spec.kind == FaultKind::CacheEvict;
+                              });
+    if (!evicts) {
+        machine.run(max_instrs);
+        return;
+    }
+    for (std::uint64_t executed = 0;
+         executed < max_instrs && !machine.halted(); ++executed) {
+        onStep(machine, machine.stats().dynInstrs);
+        machine.step();
+    }
 }
 
 bool

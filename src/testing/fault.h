@@ -4,11 +4,13 @@
  * deterministic list of microarchitectural perturbations (bit flips in
  * SFile/Hist entries, dropped or stale REC checkpoints, cache-line
  * invalidations), and a FaultInjector arms one plan against one
- * AmnesicMachine run through the production hook points
- * (AmnesicFaultHooks + MachineFaultHook). Every fault that actually
- * fires is recorded in an injected-fault registry so the differential
- * oracle can attribute any observed divergence to a specific injected
- * event — a divergence with no registry entry is a bug, not a fault.
+ * AmnesicMachine run: value faults go through the production hook
+ * points (AmnesicFaultHooks), cache evictions are applied between
+ * step() calls of the injector's own run loop. Every fault that
+ * actually fires is recorded in an injected-fault registry so the
+ * differential oracle can attribute any observed divergence to a
+ * specific injected event — a divergence with no registry entry is a
+ * bug, not a fault.
  */
 
 #ifndef AMNESIAC_TESTING_FAULT_H
@@ -95,7 +97,7 @@ struct InjectedFault
  * randomness (CacheEvict's target address) flows through a dedicated
  * RNG stream seeded at construction. Use one injector per run.
  */
-class FaultInjector final : public AmnesicFaultHooks, public MachineFaultHook
+class FaultInjector final : public AmnesicFaultHooks
 {
   public:
     /**
@@ -104,8 +106,15 @@ class FaultInjector final : public AmnesicFaultHooks, public MachineFaultHook
      */
     explicit FaultInjector(FaultPlan plan, std::uint64_t rng_seed = 1);
 
-    /** Install this injector's hooks into a machine. */
-    void attach(AmnesicMachine &machine);
+    /**
+     * Install this injector's hooks into `machine` and run it until
+     * HALT or until max_instrs instructions were dispatched, the budget
+     * of Machine::run. A plan with a CacheEvict spec steps the machine,
+     * evicting between instructions; a runaway then stops unhalted
+     * instead of failing inside the machine. Any other plan is a plain
+     * Machine::run.
+     */
+    void run(AmnesicMachine &machine, std::uint64_t max_instrs);
 
     /** Everything that actually fired. */
     const std::vector<InjectedFault> &injected() const { return _injected; }
@@ -127,10 +136,10 @@ class FaultInjector final : public AmnesicFaultHooks, public MachineFaultHook
     void onSliceValue(std::uint32_t slice_pc, std::uint32_t slice_id,
                       std::uint64_t &value) override;
 
-    // --- MachineFaultHook ---
-    void onStep(Machine &machine, std::uint64_t executed_instrs) override;
-
   private:
+    /** Fire the CacheEvict specs due before the next instruction, given
+     * the number of instructions already executed. */
+    void onStep(Machine &machine, std::uint64_t executed_instrs);
     bool alreadyFired(std::size_t spec_index) const;
     InjectedFault &record(std::size_t spec_index, std::uint64_t at_event,
                           std::uint64_t site);

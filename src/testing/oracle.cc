@@ -280,10 +280,10 @@ runDifferential(const GenCase &test_case, AmnesicTraceHooks *trace)
             test_case.faults,
             Xorshift64Star::deriveSeed(
                 case_key, 100 + static_cast<std::uint64_t>(policy)));
-        if (!test_case.faults.empty())
-            injector.attach(machine);
-
-        machine.run(test_case.runLimit);
+        if (test_case.faults.empty())
+            machine.run(test_case.runLimit);
+        else
+            injector.run(machine, test_case.runLimit);
         AMNESIAC_ASSERT(machine.halted(), "amnesic run hit the run limit");
         pr.stats = machine.stats();
         pr.injected = injector.injected();

@@ -9,16 +9,19 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
 #include "analysis/analyzer.h"
+#include "core/compiler.h"
 #include "obs/trace.h"
 #include "testing/generator.h"
 #include "testing/minimize.h"
 #include "testing/oracle.h"
 #include "testing/repro.h"
+#include "workloads/kernels.h"
 
 namespace amnesiac {
 namespace {
@@ -129,6 +132,57 @@ TEST(DifferentialOracle, CacheEvictionIsAlwaysMasked)
     EXPECT_FALSE(pr.diverged());
     EXPECT_EQ(pr.verdict, Verdict::Masked);
     EXPECT_FALSE(report.failed());
+}
+
+TEST(FaultInjector, CacheEvictStepLoopMatchesRun)
+{
+    // A CacheEvict plan runs the machine through the injector's own
+    // step() loop instead of Machine::run: with nothing due, the two
+    // must agree bit for bit (FLC: cache state steers every RCMP).
+    GenCase c = ncChainCase();
+    EnergyModel energy(c.energy);
+    const Program binary = AmnesicCompiler(energy, c.hierarchy, c.compiler)
+                               .compile(buildWorkload(c.spec).program)
+                               .program;
+    AmnesicConfig config = c.amnesic;
+    config.policy = Policy::FLC;
+    auto machine = [&] {
+        return AmnesicMachine(binary, energy, config, c.hierarchy,
+                              c.timing);
+    };
+
+    auto plain = machine();
+    plain.run(c.runLimit);
+    ASSERT_TRUE(plain.halted());
+    ASSERT_GE(binary.slices.size(), 1u);
+    const std::uint64_t end = plain.stats().dynInstrs;
+
+    // The halting instruction dispatches with dynInstrs < end, so a
+    // trigger at `end` is past the run.
+    auto stepped = machine();
+    FaultInjector late({{FaultKind::CacheEvict, end, 0, 0}});
+    late.run(stepped, c.runLimit);
+    EXPECT_FALSE(late.anyFired());
+    ASSERT_TRUE(stepped.halted());
+    // SimStats is all 8-byte counters and doubles: no padding.
+    EXPECT_EQ(std::memcmp(&plain.stats(), &stepped.stats(),
+                          sizeof(SimStats)),
+              0);
+    EXPECT_EQ(plain.pc(), stepped.pc());
+    for (Reg r = 0; r < kNumRegs; ++r)
+        EXPECT_EQ(plain.reg(r), stepped.reg(r)) << "r" << int{r};
+    for (std::size_t w = 0; w < binary.dataImage.size(); ++w)
+        ASSERT_EQ(plain.peekWord(w * 8), stepped.peekWord(w * 8))
+            << "word " << w;
+
+    const std::uint64_t trigger = end / 2;
+    auto evicted = machine();
+    FaultInjector mid({{FaultKind::CacheEvict, trigger, 0, 0}});
+    mid.run(evicted, c.runLimit);
+    EXPECT_TRUE(evicted.halted());
+    ASSERT_EQ(mid.injected().size(), 1u);
+    EXPECT_EQ(mid.injected()[0].hits, 1u);
+    EXPECT_GE(mid.injected()[0].atEvent, trigger);
 }
 
 TEST(DifferentialOracle, GeneratedCleanCasesHaveNoViolations)

@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -369,6 +370,40 @@ TEST(SpanAggregation, BucketsByBaseNameAndSubtractsChildren)
     EXPECT_NE(table.find("span"), std::string::npos);
     EXPECT_NE(table.find("work"), std::string::npos);
     EXPECT_NE(table.find("self%"), std::string::npos);
+}
+
+TEST(SpanAggregation, WaitRowsStayOutOfSelfPercent)
+{
+    // A worker records the queue wait of its next task while it is
+    // still busy with the current one: the two overlap on one thread.
+    SpanProfiler::ThreadSpans thread;
+    thread.tid = 1;
+    thread.name = "worker";
+
+    SpanRecord task;
+    task.startNs = 0;
+    task.endNs = 1'000'000;
+    std::snprintf(task.name, sizeof(task.name), "pool:task");
+
+    SpanRecord queued;
+    queued.startNs = 500'000;
+    queued.endNs = 4'000'000;
+    std::snprintf(queued.name, sizeof(queued.name), "pool:queue-wait");
+
+    thread.spans = {task, queued};
+    const std::string table = renderSpanFlameTable({thread});
+
+    // Rows in order: header, the task at 100%, then the wait row (the
+    // larger self time) marked as waiting.
+    std::istringstream lines(table);
+    std::string header, task_row, wait_row;
+    std::getline(lines, header);
+    std::getline(lines, task_row);
+    std::getline(lines, wait_row);
+    EXPECT_EQ(task_row.rfind("pool:task ", 0), 0u) << table;
+    EXPECT_TRUE(task_row.ends_with("100.00%")) << table;
+    EXPECT_EQ(wait_row.rfind("pool:queue-wait ", 0), 0u) << table;
+    EXPECT_TRUE(wait_row.ends_with(" wait")) << table;
 }
 
 TEST(SpanProfiler, DisabledPathAllocatesNothing)
