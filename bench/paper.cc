@@ -105,10 +105,13 @@ printTable6(const bench::BenchArgs &args,
     parallelFor(pool ? &*pool : nullptr, results.size(), [&](std::size_t i) {
         const BenchmarkResult &result = results[i];
         std::fprintf(stderr, "  [table6] %s...\n", result.name.c_str());
+        // The matrix's classic and C-Oracle runs are the search's s0
+        // pair: its unpinned decisions are made at s0 already.
         scales[i] = breakEvenScale(
             makePaperBenchmark(result.name, args.seed),
-            result.compiledFor(Policy::COracle), config, Policy::COracle,
-            256.0);
+            result.compiledFor(Policy::COracle), result.classic,
+            result.byPolicy(Policy::COracle)->stats, config,
+            Policy::COracle, 256.0);
     });
     Table table({"Bench.", "Rbreakeven (normalized)"});
     for (std::size_t i = 0; i < results.size(); ++i) {

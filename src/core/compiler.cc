@@ -127,10 +127,14 @@ AmnesicCompiler::compileSets(const Program &input,
             machine.setObserver(&profile);
             machine.run(run_limit);
             const DepTracker &tracker = profile.tracker();
-            span.counter("walkNodes", profile.walkNodes());
-            span.counter("operandProbes", profile.operandProbes());
-            span.counter("productions", tracker.productions());
-            span.counter("arenaNodes", tracker.arenaSize());
+            results[0].profileRun = machine.stats();
+            ProfilerCounters &counters = results[0].profilerCounters;
+            counters = {tracker.productions(), tracker.arenaSize(),
+                        profile.walkNodes(), profile.operandProbes()};
+            span.counter("walkNodes", counters.walkNodes);
+            span.counter("operandProbes", counters.operandProbes);
+            span.counter("productions", counters.productions);
+            span.counter("arenaNodes", counters.arenaNodes);
             span.counter("freeNodes", tracker.freeCount());
         }
         results[0].profileSec = lap(0, "profile");

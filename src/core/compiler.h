@@ -16,6 +16,7 @@
 #include "isa/program.h"
 #include "mem/hierarchy.h"
 #include "obs/span.h"
+#include "sim/stats.h"
 
 namespace amnesiac {
 
@@ -116,6 +117,18 @@ struct CompileResult
      * Feeds RunManifest::passes.
      */
     std::vector<PassTime> passTimes;
+    /**
+     * The dependence-profiling pass: the stats of its run, a classic
+     * run of the input under the compiler's energy model and hierarchy
+     * on the scalar timing backend, and the profiler's work counters.
+     * Energy, dynInstrs and rcmpSeen equal ExperimentRunner::runClassic
+     * under a config that matches on energy, hierarchy and runLimit,
+     * on either timing backend; cycles match only on the scalar one.
+     * Like passTimes it goes to the first result of compileSets() only
+     * and is never serialized, so a cache hit leaves both zero.
+     */
+    SimStats profileRun;
+    ProfilerCounters profilerCounters;
 };
 
 /**

@@ -74,6 +74,11 @@ struct RunManifest
      * compiler's span laps, gap-free so the entries sum to compileSec
      * within timer noise). Empty when every compile was a cache hit. */
     std::vector<PassTime> passes;
+    /** Work counters of this run's dependence-profiling pass (the
+     * `pass:profile` span's). Zero when every compile was a cache hit.
+     * Carried in memory to the metrics export, like the pool's
+     * queue-wait buckets; not rendered in the manifest JSON. */
+    ProfilerCounters profiler;
     PoolStats pool;
 };
 

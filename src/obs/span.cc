@@ -7,6 +7,8 @@
 #include <functional>
 #include <map>
 
+#include <sys/resource.h>
+
 namespace amnesiac {
 
 namespace {
@@ -260,8 +262,22 @@ aggregateSpans(const std::vector<SpanProfiler::ThreadSpans> &threads)
     return out;
 }
 
+HostSeconds
+HostSeconds::sample()
+{
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    auto seconds = [](const timeval &tv) {
+        return static_cast<double>(tv.tv_sec) +
+               static_cast<double>(tv.tv_usec) * 1e-6;
+    };
+    return {static_cast<double>(SpanProfiler::instance().nowNs()) * 1e-9,
+            seconds(usage.ru_utime) + seconds(usage.ru_stime)};
+}
+
 std::string
-renderSpanFlameTable(const std::vector<SpanProfiler::ThreadSpans> &threads)
+renderSpanFlameTable(const std::vector<SpanProfiler::ThreadSpans> &threads,
+                     const HostSeconds &host)
 {
     std::vector<SpanAggregate> rows = aggregateSpans(threads);
     // The pool's wait records overlap work on the same thread (a queue
@@ -297,6 +313,13 @@ renderSpanFlameTable(const std::vector<SpanProfiler::ThreadSpans> &threads)
                       row.count, row.totalSec, row.selfSec, pct);
         out += line;
     }
+    std::snprintf(line, sizeof(line),
+                  "wall_s %.3f  cpu_s %.3f  work_self_s %.3f  "
+                  "work/cpu %.1f%%\n",
+                  host.wallSec, host.cpuSec, self_total,
+                  host.cpuSec > 0.0 ? 100.0 * self_total / host.cpuSec
+                                    : 0.0);
+    out += line;
     return out;
 }
 

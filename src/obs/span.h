@@ -103,6 +103,17 @@ struct PassTime
     double sec = 0.0;
 };
 
+/** Work counters of one dependence-profiling pass, the ones its
+ * `pass:profile` span carries (CompileResult and RunManifest both hold
+ * them; defined here for the same reason as PassTime). */
+struct ProfilerCounters
+{
+    std::uint64_t productions = 0;
+    std::uint64_t arenaNodes = 0;
+    std::uint64_t walkNodes = 0;
+    std::uint64_t operandProbes = 0;
+};
+
 /**
  * Process-wide registry of per-thread span buffers. One instance per
  * process; all recording goes through ScopedSpan / recordInterval.
@@ -265,11 +276,27 @@ struct SpanAggregate
 std::vector<SpanAggregate> aggregateSpans(
     const std::vector<SpanProfiler::ThreadSpans> &threads);
 
+/** The host seconds the flame table's footer sets the work rows
+ * against. */
+struct HostSeconds
+{
+    double wallSec = 0.0;  ///< since SpanProfiler::enable()
+    double cpuSec = 0.0;   ///< process user+sys, all threads
+
+    /** Now: wall time since enable(), CPU from getrusage(RUSAGE_SELF). */
+    static HostSeconds sample();
+};
+
 /** Render the aggregated flame table as aligned text (--prof-report).
  * self% is each work row's share of all work self time; the pool's
- * `pool:*-wait` rows follow the work rows, marked "wait" instead. */
+ * `pool:*-wait` rows follow the work rows, marked "wait" instead. The
+ * last line reads `wall_s <x> cpu_s <y> work_self_s <z> work/cpu <p>%`:
+ * the host's wall and CPU seconds and the work rows' summed self time.
+ * Span times are wall time, so a thread that waits for a core inflates
+ * the work sum past CPU time. */
 std::string renderSpanFlameTable(
-    const std::vector<SpanProfiler::ThreadSpans> &threads);
+    const std::vector<SpanProfiler::ThreadSpans> &threads,
+    const HostSeconds &host = HostSeconds::sample());
 
 /** Open the next event of a Chrome trace's `traceEvents` array on a
  * line of its own: every Chrome trace here puts one event per line. */

@@ -254,6 +254,17 @@ ExperimentRunner::prepare(BenchmarkResult &result,
     };
     merge_passes(result.compiled.passTimes);
     merge_passes(result.oracleCompiled.passTimes);
+    // At most one profile ran per set that missed; the counters sit in
+    // the first result of its compileSets call, so summing counts each
+    // profile once.
+    ProfilerCounters &counters = result.manifest.profiler;
+    for (const CompileResult *set :
+         {&result.compiled, &result.oracleCompiled}) {
+        counters.productions += set->profilerCounters.productions;
+        counters.arenaNodes += set->profilerCounters.arenaNodes;
+        counters.walkNodes += set->profilerCounters.walkNodes;
+        counters.operandProbes += set->profilerCounters.operandProbes;
+    }
     result.manifest.prunedCandidates =
         result.compiled.stats.prunedSites +
         result.compiled.stats.prunedProductions +
@@ -490,6 +501,20 @@ ExperimentRunner::runMany(const std::vector<Workload> &workloads,
 // search simulates the probe. (Slice instructions are charged one by
 // one and counted in dynInstrs; the per-slice sums the machine
 // precomputes only feed traces, so they add no term of their own.)
+//
+// Neither anchor is simulated here. The s0 pair is the caller's, and
+// the 2·s0 pair is derived from it (atDoubledNonMemScale). A non-memory
+// charge at 2·s0 is fl(c·2·s0) = 2·fl(c·s0) exactly: doubling changes
+// only the exponent, and the charges are far from overflow and from
+// subnormals. Sums of doubled values are doubled sums for the same
+// reason, so the nonMemNj bucket at 2·s0 is exactly twice its s0 value,
+// while loadNj, storeNj and histReadNj hold the same unscaled charges
+// in the same order. Hence Ê(2s0) above is the derived total, bit for
+// bit. This holds only while every scaled charge goes to nonMemNj and
+// no unscaled charge does: REC's cost is not scaled, and the machine
+// charges it to storeNj (AmnesicMachine::execRec). tests/
+// breakeven_test.cc pins it by simulating 2·s0 for every registry
+// workload under every policy and comparing every bucket.
 
 namespace {
 
@@ -551,6 +576,14 @@ affineGapSign(const AffineEnergy &classic, const AffineEnergy &amnesic,
     return 0;  // also when the margin is +∞
 }
 
+SimStats
+atDoubledNonMemScale(const SimStats &at_s0)
+{
+    SimStats at_2s0 = at_s0;
+    at_2s0.energy.nonMemNj *= 2.0;
+    return at_2s0;
+}
+
 double
 breakEvenScale(const Workload &workload, const ExperimentConfig &config,
                Policy policy, double max_scale)
@@ -562,22 +595,28 @@ breakEvenScale(const Workload &workload, const ExperimentConfig &config,
     compiler_config.runLimit = config.runLimit;
     AmnesicCompiler compiler(EnergyModel(config.energy), config.hierarchy,
                              compiler_config);
-    return breakEvenScale(workload, compiler.compile(workload.program),
-                          config, policy, max_scale);
+    const CompileResult compiled = compiler.compile(workload.program);
+    ExperimentConfig pinned = config;
+    pinned.amnesic.decisionNonMemScale = config.energy.nonMemScale;
+    const SimStats amnesic_s0 =
+        ExperimentRunner(pinned).runAmnesic(compiled.program, policy);
+    return breakEvenScale(workload, compiled, compiled.profileRun,
+                          amnesic_s0, config, policy, max_scale);
 }
 
 double
 breakEvenScale(const Workload &workload, const CompileResult &compiled,
+               const SimStats &classic_s0, const SimStats &amnesic_s0,
                const ExperimentConfig &config, Policy policy,
                double max_scale)
 {
     ScopedSpan span("breakeven", workload.name);
     std::uint64_t probes = 0;
-    std::uint64_t pairs = 0;
     std::uint64_t fallbacks = 0;
     auto finish = [&](double scale) {
         span.counter("probes", probes);
-        span.counter("simulated_pairs", pairs);
+        // Only a fallback simulates a pair.
+        span.counter("simulated_pairs", fallbacks);
         span.counter("fallbacks", fallbacks);
         return scale;
     };
@@ -600,6 +639,17 @@ breakEvenScale(const Workload &workload, const CompileResult &compiled,
                    0.0;
         }
     };
+    ++probes;
+    const Pair at_s0{classic_s0, amnesic_s0};
+    if (!at_s0.gains())
+        return finish(s0);
+    const Pair at_2s0{atDoubledNonMemScale(classic_s0),
+                      atDoubledNonMemScale(amnesic_s0)};
+    const AffineEnergy classic =
+        AffineEnergy::through(at_s0.classic, at_2s0.classic);
+    const AffineEnergy amnesic =
+        AffineEnergy::through(at_s0.amnesic, at_2s0.amnesic);
+    // A probe inside the rounding margin simulates its own pair.
     auto simulate = [&](double scale) {
         ExperimentConfig scaled = config;
         scaled.energy.nonMemScale = scale;
@@ -607,19 +657,9 @@ breakEvenScale(const Workload &workload, const CompileResult &compiled,
         // so only the energy bill changes with R.
         scaled.amnesic.decisionNonMemScale = s0;
         ExperimentRunner runner(scaled);
-        ++pairs;
         return Pair{runner.runClassic(workload.program),
                     runner.runAmnesic(compiled.program, policy)};
     };
-    ++probes;
-    const Pair at_s0 = simulate(s0);
-    if (!at_s0.gains())
-        return finish(s0);
-    const Pair at_2s0 = simulate(2.0 * s0);
-    const AffineEnergy classic =
-        AffineEnergy::through(at_s0.classic, at_2s0.classic);
-    const AffineEnergy amnesic =
-        AffineEnergy::through(at_s0.amnesic, at_2s0.amnesic);
     auto gains_at = [&](double scale) {
         ++probes;
         if (scale == 2.0 * s0)

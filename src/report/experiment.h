@@ -179,15 +179,15 @@ class ExperimentRunner
 };
 
 /**
- * One energy of the break-even search (classic or amnesic), simulated
- * at the two anchor scales s0 and 2·s0. With the scheduler's decision
- * model pinned, the energy is affine in the non-memory scale up to
+ * One energy of the break-even search (classic or amnesic) at the two
+ * anchor scales s0 and 2·s0. With the scheduler's decision model
+ * pinned, the energy is affine in the non-memory scale up to
  * floating-point rounding (derivation in experiment.cc).
  */
 struct AffineEnergy
 {
-    double atS0 = 0.0;   ///< simulated energy at s0, nJ
-    double at2S0 = 0.0;  ///< simulated energy at 2·s0, nJ
+    double atS0 = 0.0;   ///< energy at s0, nJ
+    double at2S0 = 0.0;  ///< energy at 2·s0, nJ
     /** Bound on the roundings one simulated total went through. */
     std::uint64_t terms = 0;
 
@@ -202,6 +202,14 @@ struct AffineEnergy
      * rounding alone; grows with `terms` and away from r ∈ [1, 2]. */
     double roundingBound(double r) const;
 };
+
+/**
+ * The stats a run at s0 has at 2·s0 with the decision model pinned to
+ * s0: the same, with `energy.nonMemNj` doubled. Exact, bit for bit
+ * (argument in experiment.cc; tests/breakeven_test.cc pins it for every
+ * registry workload under every policy).
+ */
+SimStats atDoubledNonMemScale(const SimStats &at_s0);
 
 /**
  * Sign of (classic − amnesic) energy at scale r·s0 when the affine
@@ -223,33 +231,40 @@ int affineGapSign(const AffineEnergy &classic, const AffineEnergy &amnesic,
  *
  * The search is an exponential bracket from s0 followed by 12
  * bisection steps on the sign of the gain. Pinning the decisions makes
- * both energies affine in the scale, so only two classic + amnesic
- * simulation pairs run, at s0 and 2·s0 (the second only if the gain at
- * s0 is positive). Every other probe reads its sign off the affine
- * prediction, and simulates its own pair only when the predicted gap
- * is within the worst-case rounding error (affineGapSign). The result
- * is therefore the one simulating every probe gives, bit for bit.
+ * both energies affine in the scale. The line through them is anchored
+ * on the classic + amnesic pair at s0, which the caller hands in, and
+ * on the pair at 2·s0, derived exactly from it (atDoubledNonMemScale).
+ * Every other probe reads its sign off the affine prediction, and
+ * simulates its own pair only when the predicted gap is within the
+ * worst-case rounding error (affineGapSign). The result is therefore
+ * the one simulating every probe gives, bit for bit.
  *
- * This overload compiles `workload` for `policy` at s0 and delegates
- * to the one below.
+ * `compiled` must be `workload` compiled under `config` for `policy`,
+ * e.g. `BenchmarkResult::compiledFor(policy)` of a run with the same
+ * config. `classic_s0` and `amnesic_s0` are the classic run of
+ * `workload` and the `policy` run of `compiled` at s0 with decisions
+ * at s0: `BenchmarkResult::classic` and the policy's outcome stats of
+ * such a run, when `config.amnesic.decisionNonMemScale` is unset or
+ * s0. Only their energies, dynInstrs and rcmpSeen are read.
  * @param policy runtime policy to evaluate (the paper names C-Oracle)
  * @param max_scale search cap; returns max_scale if no crossing below
  * @return s0 when the binary has no slices or gains nothing at s0
  */
 double breakEvenScale(const Workload &workload,
+                      const CompileResult &compiled,
+                      const SimStats &classic_s0,
+                      const SimStats &amnesic_s0,
                       const ExperimentConfig &config,
                       Policy policy = Policy::COracle,
                       double max_scale = 256.0);
 
 /**
- * The break-even search on an already-compiled binary; it runs only
- * the simulations. `compiled` must be `workload` compiled under
- * `config` for `policy`, e.g. `BenchmarkResult::compiledFor(policy)`
- * of a run with the same config, which makes the result equal the
- * overload above.
+ * The search above from scratch: compiles `workload` for `policy` at
+ * s0, takes the classic s0 stats from the compile's profiling run
+ * (CompileResult::profileRun), runs the one amnesic simulation at s0,
+ * and delegates.
  */
 double breakEvenScale(const Workload &workload,
-                      const CompileResult &compiled,
                       const ExperimentConfig &config,
                       Policy policy = Policy::COracle,
                       double max_scale = 256.0);

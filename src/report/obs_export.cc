@@ -217,6 +217,16 @@ fillMetrics(MetricsRegistry &metrics,
         metrics.counterAdd("amnesiac_cache_misses_total{workload=\"" + w +
                                "\"}",
                            static_cast<double>(m.cacheMisses));
+        const ProfilerCounters &prof = m.profiler;
+        auto profiler = [&](const char *name, std::uint64_t value) {
+            metrics.counterAdd(std::string("amnesiac_profiler_") + name +
+                                   "_total{workload=\"" + w + "\"}",
+                               static_cast<double>(value));
+        };
+        profiler("productions", prof.productions);
+        profiler("arena_nodes", prof.arenaNodes);
+        profiler("walk_nodes", prof.walkNodes);
+        profiler("operand_probes", prof.operandProbes);
         // The per-pass split of compileSec (satellite of analysisSec:
         // prune and gate are its pass-level refinement).
         for (const PassTime &pass : m.passes)

@@ -1,20 +1,22 @@
 /**
  * @file
  * Table 6 break-even search: the affine replay against the search that
- * simulates every probe, the sign decision that lets the replay skip a
+ * simulates every probe, the identities that spare it its anchor
+ * simulations, the sign decision that lets it skip a probe's
  * simulation, and the slice-free early exit.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
+#include <string>
 #include <vector>
 
 #include "isa/program_builder.h"
 #include "report/experiment.h"
 #include "util/thread_pool.h"
 #include "workloads/kernels.h"
-#include "workloads/paper_suite.h"
 #include "workloads/registry.h"
 
 namespace amnesiac {
@@ -70,40 +72,117 @@ perProbeBreakEvenScale(const Workload &workload,
     return 0.5 * (lo + hi);
 }
 
+/** Every energy bucket and the total, bit for bit. */
+void
+expectSameEnergy(const SimStats &a, const SimStats &b)
+{
+    EXPECT_EQ(a.energy.loadNj, b.energy.loadNj);
+    EXPECT_EQ(a.energy.storeNj, b.energy.storeNj);
+    EXPECT_EQ(a.energy.nonMemNj, b.energy.nonMemNj);
+    EXPECT_EQ(a.energy.histReadNj, b.energy.histReadNj);
+    EXPECT_EQ(a.energyNj(), b.energyNj());
+}
+
+/**
+ * The identities that let the search skip simulations, for one
+ * workload under every policy of its matrix row at s0:
+ *  - the derived 2·s0 stats equal a simulation at 2·s0 with the
+ *    decisions pinned, classic and amnesic;
+ *  - the matrix's unpinned runs equal runs pinned at s0;
+ *  - the compile's profiling run equals the classic run on the fields
+ *    the search reads, on both timing backends (and in cycles on the
+ *    scalar one, which the profiling machine runs).
+ */
+void
+expectAnchorIdentities(const Workload &workload,
+                       const BenchmarkResult &result,
+                       const ExperimentConfig &config)
+{
+    const double s0 = config.energy.nonMemScale;
+    ExperimentConfig pinned = config;
+    pinned.amnesic.decisionNonMemScale = s0;
+    ExperimentConfig doubled = pinned;
+    doubled.energy.nonMemScale = 2.0 * s0;
+    const ExperimentRunner at_s0(pinned);
+    const ExperimentRunner at_2s0(doubled);
+
+    {
+        SCOPED_TRACE(workload.name + " classic at s0 = " +
+                     std::to_string(s0));
+        expectSameEnergy(at_2s0.runClassic(workload.program),
+                         atDoubledNonMemScale(result.classic));
+        const SimStats &profiled = result.compiled.profileRun;
+        for (TimingBackend backend :
+             {TimingBackend::Scalar, TimingBackend::Pipelined}) {
+            ExperimentConfig timed = config;
+            timed.timing.backend = backend;
+            const SimStats classic =
+                ExperimentRunner(timed).runClassic(workload.program);
+            expectSameEnergy(profiled, classic);
+            EXPECT_EQ(profiled.dynInstrs, classic.dynInstrs);
+            EXPECT_EQ(profiled.rcmpSeen, classic.rcmpSeen);
+            // The profiling machine runs the scalar backend.
+            if (backend == TimingBackend::Scalar)
+                EXPECT_EQ(profiled.cycles, classic.cycles);
+        }
+    }
+    for (const PolicyOutcome &outcome : result.policies) {
+        SCOPED_TRACE(workload.name + " " +
+                     std::string(policyName(outcome.policy)) +
+                     " at s0 = " + std::to_string(s0));
+        const Program &binary =
+            result.compiledFor(outcome.policy).program;
+        const SimStats pinned_s0 = at_s0.runAmnesic(binary, outcome.policy);
+        expectSameEnergy(outcome.stats, pinned_s0);
+        EXPECT_EQ(outcome.stats.dynInstrs, pinned_s0.dynInstrs);
+        EXPECT_EQ(outcome.stats.cycles, pinned_s0.cycles);
+        EXPECT_EQ(outcome.stats.rcmpSeen, pinned_s0.rcmpSeen);
+        EXPECT_EQ(outcome.stats.recomputations, pinned_s0.recomputations);
+        expectSameEnergy(at_2s0.runAmnesic(binary, outcome.policy),
+                         atDoubledNonMemScale(outcome.stats));
+    }
+}
+
 /** Both searches over the whole registry at seed 1, fanned over a
- * small pool, compared with == on the doubles. For the paper mimics,
- * the search on the experiment matrix's C-Oracle binary
- * (compiledFor) must return the same. */
+ * small pool, compared with == on the doubles; the search on the
+ * matrix's C-Oracle binary and s0 pair must return the same. One
+ * registry-wide matrix over every policy also serves the anchor
+ * identities above. */
 void
 expectSearchesAgree(double s0)
 {
     ExperimentConfig config;
     config.energy.nonMemScale = s0;
     config.jobs = std::min(4u, ThreadPool::defaultThreadCount());
+    config.noCache = true;  // a cache hit carries no profiling run
     const std::vector<std::string> names = registeredWorkloads();
+    std::vector<Workload> workloads;
+    for (const std::string &name : names)
+        workloads.push_back(makeWorkload(name, 1));
     const std::vector<BenchmarkResult> matrix =
-        ExperimentRunner(config).runMany(makePaperSuite(1),
-                                         {Policy::COracle});
-    ASSERT_LE(matrix.size(), names.size());
+        ExperimentRunner(config).runMany(
+            workloads, {std::begin(kAllPolicies), std::end(kAllPolicies)});
+    ASSERT_EQ(matrix.size(), names.size());
     std::vector<double> per_probe(names.size());
     std::vector<double> affine(names.size());
-    std::vector<double> precompiled(matrix.size());
+    std::vector<double> precompiled(names.size());
     ThreadPool pool(config.jobs);
     parallelFor(&pool, names.size(), [&](std::size_t i) {
-        const Workload workload = makeWorkload(names[i], 1);
+        const Workload &workload = workloads[i];
+        const BenchmarkResult &result = matrix[i];
         per_probe[i] = perProbeBreakEvenScale(workload, config,
                                               Policy::COracle, 256.0);
         affine[i] = breakEvenScale(workload, config, Policy::COracle, 256.0);
-        if (i < matrix.size())
-            precompiled[i] = breakEvenScale(
-                workload, matrix[i].compiledFor(Policy::COracle), config,
-                Policy::COracle, 256.0);
+        precompiled[i] = breakEvenScale(
+            workload, result.compiledFor(Policy::COracle), result.classic,
+            result.byPolicy(Policy::COracle)->stats, config,
+            Policy::COracle, 256.0);
+        expectAnchorIdentities(workload, result, config);
     });
-    for (std::size_t i = 0; i < names.size(); ++i)
+    for (std::size_t i = 0; i < names.size(); ++i) {
+        ASSERT_EQ(matrix[i].name, names[i]);
         EXPECT_EQ(affine[i], per_probe[i])
             << names[i] << " at s0 = " << s0;
-    for (std::size_t i = 0; i < matrix.size(); ++i) {
-        ASSERT_EQ(matrix[i].name, names[i]);
         EXPECT_EQ(precompiled[i], affine[i])
             << names[i] << " on the matrix's binary at s0 = " << s0;
     }

@@ -10,13 +10,19 @@
  *  - per-site attribution reconciling exactly against SimStats;
  *  - trace/site-report determinism: byte-identical across repeated
  *    runs and across jobs=1 vs jobs=4;
- *  - manifest population by the experiment pipeline.
+ *  - manifest population by the experiment pipeline, the profiler's
+ *    counters included (nonzero on a cache miss, zero on a hit).
  */
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
 #include <regex>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "obs/manifest.h"
 #include "obs/metrics.h"
@@ -328,6 +334,49 @@ TEST(Manifest, PipelinePopulatesPhaseAndPoolFields)
     // policy simulations.
     EXPECT_EQ(manifest.pool.jobsExecuted, 4u);
     EXPECT_GT(manifest.pool.workerBusySec, 0.0);
+}
+
+TEST(ObsExport, ProfilerCountersCountACacheMissOnly)
+{
+    namespace fs = std::filesystem;
+    const fs::path dir = fs::path(::testing::TempDir()) /
+                         ("amnesiac-obs-cache-" + std::to_string(::getpid()));
+    fs::remove_all(dir);
+    ExperimentConfig config;
+    config.jobs = 1;
+    config.cacheDir = dir.string();
+    const ExperimentRunner runner(config);
+    const Workload workload = makeWorkload("stream-recompute", 1);
+    const std::string label = "_total{workload=\"stream-recompute\"}";
+
+    // The first run profiles and fills the cache; the second replays
+    // the cached binary and profiles nothing.
+    for (bool hit : {false, true}) {
+        SCOPED_TRACE(hit ? "cache hit" : "cache miss");
+        const std::vector<BenchmarkResult> results = {
+            runner.run(workload, {Policy::FLC})};
+        const RunManifest &manifest = results.front().manifest;
+        EXPECT_EQ(manifest.cacheHits, hit ? 1u : 0u);
+        const ProfilerCounters &counters = manifest.profiler;
+        MetricsRegistry metrics;
+        fillMetrics(metrics, results);
+        for (auto [name, value] :
+             {std::pair{"productions", counters.productions},
+              std::pair{"arena_nodes", counters.arenaNodes},
+              std::pair{"walk_nodes", counters.walkNodes},
+              std::pair{"operand_probes", counters.operandProbes}}) {
+            SCOPED_TRACE(name);
+            if (hit)
+                EXPECT_EQ(value, 0u);
+            else
+                EXPECT_GT(value, 0u);
+            EXPECT_DOUBLE_EQ(
+                metrics.value(std::string("amnesiac_profiler_") + name +
+                              label),
+                static_cast<double>(value));
+        }
+    }
+    fs::remove_all(dir);
 }
 
 TEST(ObsExport, MetricsFromResultsPassLineFormatAndReconcile)

@@ -12,7 +12,8 @@
  *  (c) the Chrome trace export is structurally valid JSON with the
  *      host pid and thread metadata;
  *  (d) flame-table aggregation buckets by base name and subtracts
- *      direct children from self time;
+ *      direct children from self time, and the footer sets the work
+ *      rows' self time against the host's wall and CPU seconds;
  *  (e) the disabled path performs zero heap allocations (the cost
  *      contract that lets the instrumentation ship enabled-in-code in
  *      every binary);
@@ -41,7 +42,9 @@
 // --- global allocation counter --------------------------------------------
 // Replaces the global scalar operator new for this test binary only (each
 // test .cc links into its own gtest executable). new[] funnels through
-// this by the default-implementation rule.
+// this by the default-implementation rule. The nothrow form is replaced
+// too: std::stable_partition's temporary buffer comes from it and goes
+// back through the replaced delete, which must free what malloc gave.
 
 static std::atomic<std::uint64_t> g_newCalls{0};
 
@@ -52,6 +55,13 @@ operator new(std::size_t size)
     if (void *p = std::malloc(size ? size : 1))
         return p;
     throw std::bad_alloc();
+}
+
+void *
+operator new(std::size_t size, const std::nothrow_t &) noexcept
+{
+    g_newCalls.fetch_add(1, std::memory_order_relaxed);
+    return std::malloc(size ? size : 1);
 }
 
 void
@@ -404,6 +414,55 @@ TEST(SpanAggregation, WaitRowsStayOutOfSelfPercent)
     EXPECT_TRUE(task_row.ends_with("100.00%")) << table;
     EXPECT_EQ(wait_row.rfind("pool:queue-wait ", 0), 0u) << table;
     EXPECT_TRUE(wait_row.ends_with(" wait")) << table;
+}
+
+/** The flame table's last line, split on whitespace. */
+std::vector<std::string>
+footerTokens(const std::string &table)
+{
+    std::istringstream lines(table);
+    std::string line, last;
+    while (std::getline(lines, line))
+        last = line;
+    std::istringstream words(last);
+    std::vector<std::string> tokens;
+    for (std::string word; words >> word;)
+        tokens.push_back(word);
+    return tokens;
+}
+
+TEST(SpanAggregation, FooterSetsWorkSelfTimeAgainstHostSeconds)
+{
+    // 1 ms of work, a 3 ms queue wait that the work sum leaves out.
+    SpanProfiler::ThreadSpans thread;
+    thread.tid = 1;
+    SpanRecord task;
+    task.endNs = 1'000'000;
+    std::snprintf(task.name, sizeof(task.name), "pool:task");
+    SpanRecord queued;
+    queued.endNs = 3'000'000;
+    std::snprintf(queued.name, sizeof(queued.name), "pool:queue-wait");
+    thread.spans = {task, queued};
+
+    const std::vector<std::string> tokens =
+        footerTokens(renderSpanFlameTable({thread}, {2.5, 0.004}));
+    ASSERT_EQ(tokens.size(), 8u);
+    EXPECT_EQ(tokens[0], "wall_s");
+    EXPECT_DOUBLE_EQ(std::stod(tokens[1]), 2.5);
+    EXPECT_EQ(tokens[2], "cpu_s");
+    EXPECT_DOUBLE_EQ(std::stod(tokens[3]), 0.004);
+    EXPECT_EQ(tokens[4], "work_self_s");
+    EXPECT_DOUBLE_EQ(std::stod(tokens[5]), 0.001);
+    EXPECT_EQ(tokens[6], "work/cpu");
+    EXPECT_EQ(tokens[7], "25.0%");
+
+    // By default the footer samples this process, which has spent CPU.
+    EXPECT_GT(HostSeconds::sample().cpuSec, 0.0);
+    const std::vector<std::string> sampled =
+        footerTokens(renderSpanFlameTable({thread}));
+    ASSERT_EQ(sampled.size(), 8u);
+    EXPECT_GE(std::stod(sampled[1]), 0.0);
+    EXPECT_GE(std::stod(sampled[3]), 0.0);
 }
 
 TEST(SpanProfiler, DisabledPathAllocatesNothing)
