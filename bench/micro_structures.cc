@@ -2,12 +2,15 @@
  * @file
  * google-benchmark micro-benchmarks of the simulator's hot structures:
  * cache accesses, hierarchy walks, SFile/Hist operations, interpreter
- * throughput, dependence-tracker productions and the profiler's tree
- * walk. These gate the wall-clock cost of the experiment harnesses.
+ * throughput, dependence-tracker productions, the profiler's tree
+ * walk and the compiler's dry-run replay. These gate the wall-clock
+ * cost of the experiment harnesses.
  */
 
 #include <benchmark/benchmark.h>
 
+#include "core/compiler.h"
+#include "core/dry_run.h"
 #include "core/uarch.h"
 #include "isa/program_builder.h"
 #include "mem/hierarchy.h"
@@ -161,6 +164,37 @@ BM_ProfilerWalk(benchmark::State &state)
         benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_ProfilerWalk)->Unit(benchmark::kMillisecond);
+
+void
+BM_DryRunReplay(benchmark::State &state)
+{
+    // One dry-run replay of the sx mimic that validates its
+    // probabilistic and Oracle slice sets together, as compileSets
+    // does. The sets are the compiled slices, made once per process.
+    static const std::vector<std::vector<RSlice>> sets = [] {
+        CompilerConfig oracle;
+        oracle.oracleSet = true;
+        std::vector<CompileResult> compiled =
+            AmnesicCompiler(EnergyModel{}).compileSets(
+                makeWorkload("sx", 1).program, {CompilerConfig{}, oracle});
+        return std::vector<std::vector<RSlice>>{compiled[0].slices,
+                                                compiled[1].slices};
+    }();
+    Workload workload = makeWorkload("sx", 1);
+    EnergyModel energy;
+    std::uint64_t instrs = 0;
+    for (auto _ : state) {
+        DryRunValidator validator(sets);
+        Machine m(workload.program, energy);
+        m.setObserver(&validator);
+        m.run();
+        instrs += m.stats().dynInstrs;
+        benchmark::DoNotOptimize(validator);
+    }
+    state.counters["instr/s"] = benchmark::Counter(
+        static_cast<double>(instrs), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_DryRunReplay)->Unit(benchmark::kMillisecond);
 
 void
 BM_DepTrackerProduce(benchmark::State &state)

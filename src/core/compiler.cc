@@ -216,23 +216,22 @@ AmnesicCompiler::compileSets(const Program &input,
     }
 
     // --- pass 2: functional dry-run validation (DESIGN.md §5) ---
-    // One replay validates every candidate set.
+    // One replay validates every candidate set, and a slice that
+    // several sets share is evaluated once.
     if (std::any_of(candidates.begin(), candidates.end(),
                     [](const auto &set) { return !set.empty(); })) {
         ScopedSpan span("pass:dryrun", input.name);
-        std::vector<DryRunValidator> validators(candidates.begin(),
-                                                candidates.end());
-        DryRunTee tee(validators);
+        DryRunValidator validator(candidates);
         Machine machine(input, _energy, _hierarchy);
-        machine.setObserver(&tee);
+        machine.setObserver(&validator);
         machine.run(run_limit);
 
         std::uint64_t validated_total = 0;
         for (std::size_t k = 0; k < n; ++k) {
             std::vector<RSlice> validated;
-            for (RSlice &slice : candidates[k]) {
-                const DryRunSiteResult &dry =
-                    validators[k].result(slice.loadPc);
+            for (std::size_t i = 0; i < candidates[k].size(); ++i) {
+                RSlice &slice = candidates[k][i];
+                const DryRunSiteResult &dry = validator.result(k, i);
                 if (dry.evaluated == 0 ||
                     dry.matchRate() < configs[k].matchThreshold) {
                     ++results[k].stats.rejectedMatch;

@@ -121,9 +121,10 @@ struct CompileResult
      * The dependence-profiling pass: the stats of its run, a classic
      * run of the input under the compiler's energy model and hierarchy
      * on the scalar timing backend, and the profiler's work counters.
-     * Energy, dynInstrs and rcmpSeen equal ExperimentRunner::runClassic
-     * under a config that matches on energy, hierarchy and runLimit,
-     * on either timing backend; cycles match only on the scalar one.
+     * Under a config that matches on energy, hierarchy and runLimit,
+     * the stats equal ExperimentRunner::runClassic whole on the scalar
+     * backend (prepare() reuses them as BenchmarkResult::classic), and
+     * in energy, dynInstrs and rcmpSeen on the pipelined one.
      * Like passTimes it goes to the first result of compileSets() only
      * and is never serialized, so a cache hit leaves both zero.
      */

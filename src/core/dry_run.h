@@ -15,7 +15,6 @@
 
 #include <array>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "core/rslice.h"
@@ -42,75 +41,49 @@ struct DryRunSiteResult
 
 /**
  * Observer implementing the validation pass over the *original*
- * (pre-rewrite) binary.
+ * (pre-rewrite) binary. One replay validates several candidate sets
+ * (AmnesicCompiler::compileSets): a slice that several sets share (same
+ * load pc, equal instrs) is kept and evaluated once, and every set reads
+ * its result.
  */
 class DryRunValidator final : public ExecutionObserver
 {
   public:
-    /** @param candidates candidate slices, one per (distinct) load pc;
-     *        kept by pointer, so they must outlive the validator (a
-     *        temporary is rejected at compile time) */
-    explicit DryRunValidator(const std::vector<RSlice> &candidates);
-    explicit DryRunValidator(std::vector<RSlice> &&) = delete;
+    /** @param sets candidate sets, each with at most one slice per load
+     *        pc; the validator copies what it needs from them */
+    explicit DryRunValidator(const std::vector<std::vector<RSlice>> &sets);
 
     void onExec(const Machine &m, std::uint32_t pc,
                 const Instruction &instr) override;
     void onLoad(const Machine &m, std::uint32_t pc, std::uint64_t addr,
                 std::uint64_t value, MemLevel serviced) override;
 
-    /** Result for the candidate replacing the load at `load_pc`. */
-    const DryRunSiteResult &result(std::uint32_t load_pc) const;
+    /** Result for candidate `index` of set `set`. */
+    const DryRunSiteResult &result(std::size_t set, std::size_t index) const;
 
   private:
-    /** Shadow Hist key: (candidate index, slice-instr index). */
-    using HistKey = std::uint64_t;
-    static HistKey
-    histKey(std::size_t cand, std::uint32_t instr_idx)
-    {
-        return (static_cast<std::uint64_t>(cand) << 32) | instr_idx;
-    }
+    void evaluate(const Machine &m, std::uint32_t slice, std::uint64_t value);
 
-    const std::vector<RSlice> *_candidates;
-    /** load pc -> candidate index. */
-    std::unordered_map<std::uint32_t, std::size_t> _byLoadPc;
-    /** capture pc -> [(candidate, instr index)]. */
-    std::unordered_map<std::uint32_t,
-                       std::vector<std::pair<std::size_t, std::uint32_t>>>
-        _captures;
-    std::unordered_map<HistKey, std::array<std::uint64_t, 2>> _shadowHist;
-    std::unordered_map<std::uint32_t, DryRunSiteResult> _results;
-};
-
-/**
- * Forwards one classic run to several validators, so a single replay
- * validates several candidate sets (AmnesicCompiler::compileSets).
- */
-class DryRunTee final : public ExecutionObserver
-{
-  public:
-    explicit DryRunTee(std::vector<DryRunValidator> &validators)
-        : _validators(&validators)
-    {
-    }
-
-    void
-    onExec(const Machine &m, std::uint32_t pc,
-           const Instruction &instr) override
-    {
-        for (DryRunValidator &validator : *_validators)
-            validator.onExec(m, pc, instr);
-    }
-
-    void
-    onLoad(const Machine &m, std::uint32_t pc, std::uint64_t addr,
-           std::uint64_t value, MemLevel serviced) override
-    {
-        for (DryRunValidator &validator : *_validators)
-            validator.onLoad(m, pc, addr, value, serviced);
-    }
-
-  private:
-    std::vector<DryRunValidator> *_validators;
+    /** Every distinct slice's instrs, concatenated: slice d owns
+     * [_sliceStart[d], _sliceStart[d + 1]). An instruction's index here
+     * is also its shadow-Hist slot. */
+    std::vector<SliceInstr> _instrs;
+    std::vector<std::uint32_t> _sliceStart;
+    /** Per-pc (CSR) tables: the distinct slices whose load sits at pc p
+     * are _loadSlices[_loadStart[p] .. _loadStart[p + 1]); likewise the
+     * slots whose REC runs before p (REC-before semantics). */
+    std::vector<std::uint32_t> _loadStart;
+    std::vector<std::uint32_t> _loadSlices;
+    std::vector<std::uint32_t> _captureStart;
+    std::vector<std::uint32_t> _captureSlots;
+    /** Shadow Hist, one entry per slot, and whether it was written. */
+    std::vector<std::array<std::uint64_t, 2>> _hist;
+    std::vector<std::uint8_t> _histWritten;
+    /** Recomputed values of the slice under evaluation (reused). */
+    std::vector<std::uint64_t> _values;
+    std::vector<DryRunSiteResult> _results;  ///< per distinct slice
+    /** [set][candidate index] -> distinct slice. */
+    std::vector<std::vector<std::uint32_t>> _distinct;
 };
 
 }  // namespace amnesiac

@@ -28,6 +28,8 @@ struct SliceOperand
     /** For Slice sourcing: index (within RSlice::instrs) of the
      * producing recomputing instruction. */
     std::int32_t producerIndex = -1;
+
+    bool operator==(const SliceOperand &) const = default;
 };
 
 /** One recomputing instruction — a replica of a producer (§2.1). */
@@ -53,6 +55,8 @@ struct SliceInstr
     /** True if no operand comes from another slice instruction —
      * i.e. this is a leaf of the RSlice tree (§2.1). */
     bool isLeaf() const;
+
+    bool operator==(const SliceInstr &) const = default;
 };
 
 /** A complete recomputation slice for one load site. */

@@ -28,7 +28,10 @@ namespace amnesiac {
 /** Wall-clock seconds spent in each pipeline phase of one workload. */
 struct PhaseTimes
 {
-    double classicSec = 0.0;   ///< classic (baseline) simulation
+    /** Classic (baseline) simulation; 0 when the classic stats came
+     * from the compile's profiling run (a cold compile on the scalar
+     * backend makes no classic run of its own). */
+    double classicSec = 0.0;
     double compileSec = 0.0;   ///< both compiles (prob + oracle sets)
     double analysisSec = 0.0;  ///< static analysis share of compileSec
     double profileSec = 0.0;   ///< dependence-profiling share of compileSec

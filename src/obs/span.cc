@@ -8,6 +8,7 @@
 #include <map>
 
 #include <sys/resource.h>
+#include <time.h>
 
 namespace amnesiac {
 
@@ -51,6 +52,15 @@ std::int64_t steadyNowRaw()
     return std::chrono::duration_cast<std::chrono::nanoseconds>(
                std::chrono::steady_clock::now().time_since_epoch())
         .count();
+}
+
+/** The calling thread's CPU time in ns. */
+std::uint64_t threadCpuNs()
+{
+    timespec ts{};
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return static_cast<std::uint64_t>(ts.tv_sec) * 1'000'000'000u +
+           static_cast<std::uint64_t>(ts.tv_nsec);
 }
 
 }  // namespace
@@ -174,6 +184,7 @@ ScopedSpan::open(const char *name, std::string_view detail,
     _index = static_cast<std::uint32_t>(buffer.records.size());
     SpanRecord record;
     record.startNs = profiler.nowNs();
+    record.cpuStartNs = threadCpuNs();
     record.parent =
         buffer.openStack.empty() ? kNoSpanParent : buffer.openStack.back();
     record.depth = static_cast<std::uint16_t>(buffer.openStack.size());
@@ -188,8 +199,11 @@ ScopedSpan::close()
     // Guards below tolerate an enable() that cleared the buffer while
     // this span was open (a contract violation, but a cheap one to
     // survive without writing out of bounds).
-    if (_index < _buffer->records.size())
-        _buffer->records[_index].endNs = SpanProfiler::instance().nowNs();
+    if (_index < _buffer->records.size()) {
+        SpanRecord &record = _buffer->records[_index];
+        record.endNs = SpanProfiler::instance().nowNs();
+        record.cpuEndNs = threadCpuNs();
+    }
     if (!_buffer->openStack.empty() && _buffer->openStack.back() == _index)
         _buffer->openStack.pop_back();
     _buffer = nullptr;
@@ -224,14 +238,17 @@ std::vector<SpanAggregate>
 aggregateSpans(const std::vector<SpanProfiler::ThreadSpans> &threads)
 {
     std::map<std::string, SpanAggregate, std::less<>> buckets;
-    std::vector<double> child_ns;
+    std::vector<double> child_sec;
+    std::vector<double> child_cpu_sec;
     for (const auto &thread : threads) {
-        child_ns.assign(thread.spans.size(), 0.0);
+        child_sec.assign(thread.spans.size(), 0.0);
+        child_cpu_sec.assign(thread.spans.size(), 0.0);
         for (const SpanRecord &record : thread.spans) {
             if (record.parent != kNoSpanParent &&
-                record.parent < child_ns.size())
-                child_ns[record.parent] +=
-                    static_cast<double>(record.endNs - record.startNs);
+                record.parent < child_sec.size()) {
+                child_sec[record.parent] += record.seconds();
+                child_cpu_sec[record.parent] += record.cpuSeconds();
+            }
         }
         for (std::size_t i = 0; i < thread.spans.size(); ++i) {
             const SpanRecord &record = thread.spans[i];
@@ -242,11 +259,11 @@ aggregateSpans(const std::vector<SpanProfiler::ThreadSpans> &threads)
             SpanAggregate &agg = it->second;
             if (agg.name.empty())
                 agg.name = std::string(base);
-            const double total_ns =
-                static_cast<double>(record.endNs - record.startNs);
             agg.count += 1;
-            agg.totalSec += total_ns * 1e-9;
-            agg.selfSec += std::max(0.0, total_ns - child_ns[i]) * 1e-9;
+            agg.totalSec += record.seconds();
+            agg.selfSec += std::max(0.0, record.seconds() - child_sec[i]);
+            agg.selfCpuSec +=
+                std::max(0.0, record.cpuSeconds() - child_cpu_sec[i]);
         }
     }
     std::vector<SpanAggregate> out;
@@ -288,10 +305,13 @@ renderSpanFlameTable(const std::vector<SpanProfiler::ThreadSpans> &threads,
     };
     std::stable_partition(rows.begin(), rows.end(), std::not_fn(waiting));
     double self_total = 0.0;
+    double self_cpu_total = 0.0;
     std::size_t name_width = 4;  // "span"
     for (const SpanAggregate &row : rows) {
-        if (!waiting(row))
+        if (!waiting(row)) {
             self_total += row.selfSec;
+            self_cpu_total += row.selfCpuSec;
+        }
         name_width = std::max(name_width, row.name.size());
     }
     std::string out;
@@ -316,8 +336,8 @@ renderSpanFlameTable(const std::vector<SpanProfiler::ThreadSpans> &threads,
     std::snprintf(line, sizeof(line),
                   "wall_s %.3f  cpu_s %.3f  work_self_s %.3f  "
                   "work/cpu %.1f%%\n",
-                  host.wallSec, host.cpuSec, self_total,
-                  host.cpuSec > 0.0 ? 100.0 * self_total / host.cpuSec
+                  host.wallSec, host.cpuSec, self_cpu_total,
+                  host.cpuSec > 0.0 ? 100.0 * self_cpu_total / host.cpuSec
                                     : 0.0);
     out += line;
     return out;

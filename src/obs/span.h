@@ -65,7 +65,7 @@ inline constexpr std::uint32_t kNoSpanParent = 0xffffffffu;
 inline constexpr std::size_t kMaxSpanCounters = 5;
 
 /**
- * One closed span, 192 bytes, fully self-contained (no pointers into
+ * One closed span, 208 bytes, fully self-contained (no pointers into
  * caller memory: names and counter keys are copied at record time, so
  * a record outlives every temporary it was built from).
  */
@@ -73,6 +73,11 @@ struct SpanRecord
 {
     std::uint64_t startNs = 0;  ///< steady-clock ns since enable()
     std::uint64_t endNs = 0;
+    /** The recording thread's CPU time (CLOCK_THREAD_CPUTIME_ID) at
+     * start and stop; both 0 on an interval recorded after the fact
+     * (recordInterval), which spends no CPU of its own. */
+    std::uint64_t cpuStartNs = 0;
+    std::uint64_t cpuEndNs = 0;
     /** Index of the enclosing span in the *same thread's* record list
      * (spans never span threads; cross-thread causality is visible
      * through the pool:queue-wait / pool:task records instead). */
@@ -91,6 +96,10 @@ struct SpanRecord
     double seconds() const
     {
         return static_cast<double>(endNs - startNs) * 1e-9;
+    }
+    double cpuSeconds() const
+    {
+        return static_cast<double>(cpuEndNs - cpuStartNs) * 1e-9;
     }
 };
 
@@ -269,6 +278,9 @@ struct SpanAggregate
     std::uint64_t count = 0;
     double totalSec = 0.0;  ///< inclusive (children counted)
     double selfSec = 0.0;   ///< exclusive (direct children subtracted)
+    /** selfSec in the recording threads' CPU time: a thread that waits
+     * for a core or blocks adds wall time here but no CPU time. */
+    double selfCpuSec = 0.0;
 };
 
 /** Aggregate collected spans by base name, sorted by selfSec
@@ -288,12 +300,12 @@ struct HostSeconds
 };
 
 /** Render the aggregated flame table as aligned text (--prof-report).
- * self% is each work row's share of all work self time; the pool's
- * `pool:*-wait` rows follow the work rows, marked "wait" instead. The
- * last line reads `wall_s <x> cpu_s <y> work_self_s <z> work/cpu <p>%`:
- * the host's wall and CPU seconds and the work rows' summed self time.
- * Span times are wall time, so a thread that waits for a core inflates
- * the work sum past CPU time. */
+ * self% is each work row's share of all work self time (wall time);
+ * the pool's `pool:*-wait` rows follow the work rows, marked "wait"
+ * instead. The last line reads
+ * `wall_s <x> cpu_s <y> work_self_s <z> work/cpu <p>%`: the host's wall
+ * and CPU seconds and the work rows' summed self *CPU* time, so a
+ * thread that waits for a core does not inflate the work sum. */
 std::string renderSpanFlameTable(
     const std::vector<SpanProfiler::ThreadSpans> &threads,
     const HostSeconds &host = HostSeconds::sample());

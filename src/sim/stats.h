@@ -30,6 +30,8 @@ struct EnergyBreakdown
     {
         return loadNj + storeNj + nonMemNj + histReadNj;
     }
+
+    bool operator==(const EnergyBreakdown &) const = default;
 };
 
 /** Counters accumulated by a machine run. */
@@ -112,6 +114,9 @@ struct SimStats
 
     /** Multi-line human-readable dump (debugging, examples). */
     std::string summary(const EnergyModel &model) const;
+
+    /** Field-by-field equality; energies compare as doubles, exactly. */
+    bool operator==(const SimStats &) const = default;
 };
 
 /** Percentage gain of `amnesic` over `classic` for a metric pair. */

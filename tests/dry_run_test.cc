@@ -15,15 +15,25 @@
 namespace amnesiac {
 namespace {
 
-DryRunSiteResult
-validate(const Program &program, const RSlice &slice)
+/** Every candidate's result after one replay that validates `sets`. */
+std::vector<std::vector<DryRunSiteResult>>
+replay(const Program &program, const std::vector<std::vector<RSlice>> &sets)
 {
-    std::vector<RSlice> candidates{slice};
-    DryRunValidator validator(candidates);
+    DryRunValidator validator(sets);
     Machine m(program, EnergyModel{});
     m.setObserver(&validator);
     m.run();
-    return validator.result(slice.loadPc);
+    std::vector<std::vector<DryRunSiteResult>> results(sets.size());
+    for (std::size_t s = 0; s < sets.size(); ++s)
+        for (std::size_t i = 0; i < sets[s].size(); ++i)
+            results[s].push_back(validator.result(s, i));
+    return results;
+}
+
+DryRunSiteResult
+validate(const Program &program, const RSlice &slice)
+{
+    return replay(program, {{slice}}).front().front();
 }
 
 /** v = x + x with x Live: always reproducible. */
@@ -178,6 +188,83 @@ TEST(DryRun, CountsHistMisses)
     DryRunSiteResult result = validate(p, slice);
     EXPECT_EQ(result.histMisses, 1u);
     EXPECT_EQ(result.matched, 0u);
+}
+
+/** One replay validates two sets that share one slice, while a
+ * Hist-fed slice belongs to the second set only: every candidate's
+ * counts equal those of validating its set alone. */
+TEST(DryRun, SetsSharingASliceMatchSeparateReplays)
+{
+    ProgramBuilder b("two-sets");
+    std::uint64_t a = b.allocWords(2);
+    b.li(1, a);
+    b.li(11, a + 8);
+    b.li(6, 0);
+    b.li(7, 1);
+    b.li(8, 10);
+    auto top = b.newLabel();
+    b.bind(top);
+    // Reads the previous iteration's product: the first instance comes
+    // before any checkpoint, so it is a Hist miss.
+    std::uint32_t hist_load = b.ld(4, 1);
+    b.alu(Opcode::Add, 2, 6, 7);
+    std::uint32_t mul_pc = b.alu(Opcode::Mul, 3, 2, 2);
+    b.st(1, 0, 3);
+    b.li(2, 0);                            // clobber x
+    b.li(12, 5);
+    std::uint32_t add_pc = b.alu(Opcode::Add, 13, 12, 12);
+    b.st(11, 0, 13);
+    std::uint32_t live_load = b.ld(14, 11);
+    b.alu(Opcode::Add, 6, 6, 7);
+    b.blt(6, 8, top);
+    b.halt();
+    Program p = b.finish();
+
+    RSlice live;
+    live.loadPc = live_load;
+    SliceInstr add;
+    add.op = Opcode::Add;
+    add.origPc = add_pc;
+    add.rd = 13;
+    add.numOps = 2;
+    add.ops[0] = {OperandSource::Live, 12, -1};
+    add.ops[1] = {OperandSource::Live, 12, -1};
+    live.instrs.push_back(add);
+    live.computeStats();
+
+    RSlice hist;
+    hist.loadPc = hist_load;
+    SliceInstr mul;
+    mul.op = Opcode::Mul;
+    mul.origPc = mul_pc;
+    mul.rd = 3;
+    mul.numOps = 2;
+    mul.ops[0] = {OperandSource::Hist, 2, -1};
+    mul.ops[1] = {OperandSource::Hist, 2, -1};
+    hist.instrs.push_back(mul);
+    hist.computeStats();
+
+    const std::vector<RSlice> first{live};
+    const std::vector<RSlice> second{hist, live};
+    const auto both = replay(p, {first, second});
+    const auto first_alone = replay(p, {first}).front();
+    const auto second_alone = replay(p, {second}).front();
+    ASSERT_EQ(both.size(), 2u);
+    auto expect_same = [](const DryRunSiteResult &got,
+                          const DryRunSiteResult &want) {
+        EXPECT_EQ(got.evaluated, want.evaluated);
+        EXPECT_EQ(got.matched, want.matched);
+        EXPECT_EQ(got.histMisses, want.histMisses);
+    };
+    expect_same(both[0][0], first_alone[0]);
+    expect_same(both[1][0], second_alone[0]);
+    expect_same(both[1][1], second_alone[1]);
+
+    EXPECT_EQ(both[0][0].evaluated, 10u);
+    EXPECT_EQ(both[0][0].matched, 10u);
+    EXPECT_EQ(both[1][0].evaluated, 10u);
+    EXPECT_EQ(both[1][0].histMisses, 1u);
+    EXPECT_EQ(both[1][0].matched, 9u);
 }
 
 }  // namespace

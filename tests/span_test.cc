@@ -12,8 +12,9 @@
  *  (c) the Chrome trace export is structurally valid JSON with the
  *      host pid and thread metadata;
  *  (d) flame-table aggregation buckets by base name and subtracts
- *      direct children from self time, and the footer sets the work
- *      rows' self time against the host's wall and CPU seconds;
+ *      direct children from self time, spans record their thread's
+ *      CPU time, and the footer sets the work rows' self CPU time
+ *      against the host's wall and CPU seconds;
  *  (e) the disabled path performs zero heap allocations (the cost
  *      contract that lets the instrumentation ship enabled-in-code in
  *      every binary);
@@ -416,6 +417,38 @@ TEST(SpanAggregation, WaitRowsStayOutOfSelfPercent)
     EXPECT_TRUE(wait_row.ends_with(" wait")) << table;
 }
 
+TEST(SpanProfiler, SpansRecordThreadCpuTime)
+{
+    SpanProfiler &profiler = SpanProfiler::instance();
+    profiler.enable();
+    {
+        ScopedSpan sleep("cpu:sleep");
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+    {
+        ScopedSpan spin("cpu:spin");
+        volatile std::uint64_t sink = 0;
+        for (std::uint64_t i = 0; i < 20'000'000; ++i)
+            sink = sink + i;
+    }
+    profiler.disable();
+    std::size_t seen = 0;
+    for (const auto &thread : profiler.collect())
+        for (const SpanRecord &record : thread.spans) {
+            const std::string name(record.name);
+            if (name == "cpu:sleep") {
+                ++seen;
+                EXPECT_GE(record.seconds(), 0.02);
+                EXPECT_LT(record.cpuSeconds(), record.seconds() / 2);
+            } else if (name == "cpu:spin") {
+                ++seen;
+                EXPECT_GT(record.cpuSeconds(), 0.0);
+                EXPECT_LE(record.cpuStartNs, record.cpuEndNs);
+            }
+        }
+    EXPECT_EQ(seen, 2u);
+}
+
 /** The flame table's last line, split on whitespace. */
 std::vector<std::string>
 footerTokens(const std::string &table)
@@ -433,11 +466,14 @@ footerTokens(const std::string &table)
 
 TEST(SpanAggregation, FooterSetsWorkSelfTimeAgainstHostSeconds)
 {
-    // 1 ms of work, a 3 ms queue wait that the work sum leaves out.
+    // 2 ms of work of which 1 ms on a core, and a 3 ms queue wait: the
+    // work sum counts the CPU time of the work only.
     SpanProfiler::ThreadSpans thread;
     thread.tid = 1;
     SpanRecord task;
-    task.endNs = 1'000'000;
+    task.endNs = 2'000'000;
+    task.cpuStartNs = 5'000'000;
+    task.cpuEndNs = 6'000'000;
     std::snprintf(task.name, sizeof(task.name), "pool:task");
     SpanRecord queued;
     queued.endNs = 3'000'000;
