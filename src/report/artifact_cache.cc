@@ -242,12 +242,22 @@ ArtifactCache::entryPath(std::uint64_t key) const
 std::optional<CompileResult>
 ArtifactCache::load(std::uint64_t key) const
 {
-    ScopedSpan span("cache:probe");
+    ScopedSpan span("cache:load");
     std::optional<CompileResult> result = loadValidated(key);
     span.counter("hit", result ? 1 : 0);
     if (result)
         span.counter("slices", result->slices.size());
     return result;
+}
+
+bool
+ArtifactCache::holds(std::uint64_t key) const
+{
+    ScopedSpan span("cache:probe");
+    std::error_code error;
+    const bool present = std::filesystem::exists(entryPath(key), error);
+    span.counter("present", present ? 1 : 0);
+    return present;
 }
 
 std::optional<CompileResult>

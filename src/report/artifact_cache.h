@@ -62,6 +62,10 @@ class ArtifactCache
      */
     std::optional<CompileResult> load(std::uint64_t key) const;
 
+    /** Whether an entry file for `key` exists. It may still fail to
+     * load: only load() validates it. */
+    bool holds(std::uint64_t key) const;
+
     /** Store a compiled artifact (atomic temp-file + rename; best
      * effort — I/O failure is logged and swallowed, the cache is an
      * accelerator, never a correctness dependency). */

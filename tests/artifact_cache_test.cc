@@ -76,8 +76,10 @@ TEST(ArtifactCache, HitReplaysByteIdenticalCompile)
                                            HierarchyConfig{},
                                            CompilerConfig{});
     EXPECT_FALSE(cache.load(key).has_value()) << "empty cache must miss";
+    EXPECT_FALSE(cache.holds(key));
 
     cache.store(key, cold);
+    EXPECT_TRUE(cache.holds(key));
     std::optional<CompileResult> hit = cache.load(key);
     ASSERT_TRUE(hit.has_value());
     EXPECT_EQ(serializeProgram(cold.program),
