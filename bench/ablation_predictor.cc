@@ -16,6 +16,7 @@
  */
 
 #include <cstdio>
+#include <vector>
 
 #include "common.h"
 #include "timing/predictor.h"
@@ -31,33 +32,45 @@ main(int argc, char **argv)
     bench::banner("Ablation: branch predictors (pipelined timing)",
                   config);
 
-    Table table({"bench", "predictor", "accuracy %", "mispredict cyc",
-                 "cycle infl %", "FLC EDP %"});
+    // Scalar golden baseline for the inflation column.
+    ExperimentConfig scalar_config = config;
+    scalar_config.timing = TimingConfig{};
+    std::vector<Workload> workloads;
+    std::vector<SimStats> scalar_classic;
     for (const std::string &name : paperBenchmarkNames()) {
         std::fprintf(stderr, "  [predictor] %s...\n", name.c_str());
-        Workload w = makePaperBenchmark(name, args.seed);
+        workloads.push_back(makePaperBenchmark(name, args.seed));
+        scalar_classic.push_back(ExperimentRunner(scalar_config)
+                                     .runClassic(workloads.back().program));
+    }
 
-        // Scalar golden baseline for the inflation column.
-        ExperimentConfig scalar_config = config;
-        scalar_config.timing = TimingConfig{};
-        SimStats scalar_classic =
-            ExperimentRunner(scalar_config).runClassic(w.program);
+    // One suite run per predictor.
+    std::vector<std::vector<BenchmarkResult>> by_kind;
+    for (PredictorKind kind : kAllPredictorKinds) {
+        std::fprintf(stderr, "  [predictor] suite under %s...\n",
+                     std::string(predictorKindName(kind)).c_str());
+        ExperimentConfig pipelined = config;
+        pipelined.timing.backend = TimingBackend::Pipelined;
+        pipelined.timing.predictor = kind;
+        by_kind.push_back(
+            ExperimentRunner(pipelined).runMany(workloads, {Policy::FLC}));
+    }
 
-        for (PredictorKind kind : kAllPredictorKinds) {
-            ExperimentConfig pipelined = config;
-            pipelined.timing.backend = TimingBackend::Pipelined;
-            pipelined.timing.predictor = kind;
-            ExperimentRunner runner(pipelined);
-            BenchmarkResult r = runner.run(w, {Policy::FLC});
+    Table table({"bench", "predictor", "accuracy %", "mispredict cyc",
+                 "cycle infl %", "FLC EDP %"});
+    for (std::size_t w = 0; w < workloads.size(); ++w) {
+        const double scalar_cycles =
+            static_cast<double>(scalar_classic[w].cycles);
+        for (std::size_t k = 0; k < by_kind.size(); ++k) {
+            const BenchmarkResult &r = by_kind[k][w];
             const SimStats &classic = r.classic;
             double inflation =
                 100.0 *
-                (static_cast<double>(classic.cycles) -
-                 static_cast<double>(scalar_classic.cycles)) /
-                static_cast<double>(scalar_classic.cycles);
+                (static_cast<double>(classic.cycles) - scalar_cycles) /
+                scalar_cycles;
             table.row()
-                .cell(name)
-                .cell(std::string(predictorKindName(kind)))
+                .cell(r.name)
+                .cell(std::string(predictorKindName(kAllPredictorKinds[k])))
                 .cell(100.0 * classic.branchPredictionAccuracy(), 2)
                 .cell(static_cast<long long>(
                     classic.mispredictFlushCycles))

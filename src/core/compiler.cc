@@ -127,7 +127,8 @@ AmnesicCompiler::compileSets(const Program &input,
             machine.setObserver(&profile);
             machine.run(run_limit);
             const DepTracker &tracker = profile.tracker();
-            results[0].profileRun = machine.stats();
+            for (CompileResult &result : results)
+                result.profileRun = machine.stats();
             ProfilerCounters &counters = results[0].profilerCounters;
             counters = {tracker.productions(), tracker.arenaSize(),
                         profile.walkNodes(), profile.operandProbes()};

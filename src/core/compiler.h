@@ -89,6 +89,8 @@ struct CompileStats
     std::uint64_t prunedSites = 0;
     /** Reachable sliceable productions replaced by opaque sentinels. */
     std::uint64_t prunedProductions = 0;
+
+    bool operator==(const CompileStats &) const = default;
 };
 
 /** Output of the compiler pass. */
@@ -118,17 +120,19 @@ struct CompileResult
      */
     std::vector<PassTime> passTimes;
     /**
-     * The dependence-profiling pass: the stats of its run, a classic
-     * run of the input under the compiler's energy model and hierarchy
-     * on the scalar timing backend, and the profiler's work counters.
-     * Under a config that matches on energy, hierarchy and runLimit,
-     * the stats equal ExperimentRunner::runClassic whole on the scalar
-     * backend (prepare() reuses them as BenchmarkResult::classic), and
-     * in energy, dynInstrs and rcmpSeen on the pipelined one.
-     * Like passTimes it goes to the first result of compileSets() only
-     * and is never serialized, so a cache hit leaves both zero.
+     * The stats of the dependence-profiling run: a classic run of the
+     * input under the compiler's energy model and hierarchy on the
+     * scalar timing backend. Under a config that matches on energy,
+     * hierarchy and runLimit, they equal ExperimentRunner::runClassic
+     * whole on the scalar backend (prepare() takes them as
+     * BenchmarkResult::classic), and in energy, dynInstrs and rcmpSeen
+     * on the pipelined one. Every result of compileSets() gets them,
+     * and the artifact cache stores them, so a hit carries them too.
      */
     SimStats profileRun;
+    /** The profiler's work counters. Like passTimes they go to the
+     * first result of compileSets() only and are never serialized, so
+     * a cache hit leaves them zero. */
     ProfilerCounters profilerCounters;
 };
 

@@ -28,9 +28,10 @@ namespace amnesiac {
 /** Wall-clock seconds spent in each pipeline phase of one workload. */
 struct PhaseTimes
 {
-    /** Classic (baseline) simulation; 0 when the classic stats came
-     * from the compile's profiling run (a cold compile on the scalar
-     * backend makes no classic run of its own). */
+    /** Classic (baseline) simulation; nonzero only on the pipelined
+     * backend. On the scalar backend the classic stats are the
+     * compile's profiling run, computed or read from the artifact
+     * cache, and no classic run is made. */
     double classicSec = 0.0;
     double compileSec = 0.0;   ///< both compiles (prob + oracle sets)
     double analysisSec = 0.0;  ///< static analysis share of compileSec

@@ -30,7 +30,7 @@
  *
  * Naming convention (load-bearing for the flame table): a span name is
  * `base detail` where `base` contains no spaces (use ':' to subdivide,
- * e.g. "pass:profile", "cache:probe") and the optional ` detail` part
+ * e.g. "pass:profile", "cache:load") and the optional ` detail` part
  * carries run-specific text ("pass:profile sx"). Aggregation strips
  * everything from the first space, so all workloads' instances of one
  * pipeline step land in one flame-table row while the Chrome trace

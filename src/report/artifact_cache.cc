@@ -7,6 +7,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <type_traits>
 #include <unistd.h>
 
 #include "isa/serialize.h"
@@ -21,44 +22,36 @@ namespace {
 
 constexpr char kMagic[4] = {'A', 'M', 'N', 'C'};
 
+/**
+ * The stats fields of an entry, in entry order: store() and load()
+ * both walk this one list, calling `fn` on each field of a
+ * CompileStats or a SimStats (const or not). The energy breakdown and
+ * the arrays go whole.
+ */
+template <typename Stats, typename Fn>
 void
-putStats(ByteWriter &w, const CompileStats &s)
+forEachField(Stats &s, Fn fn)
 {
-    w.put(s.sitesSeen);
-    w.put(s.rejectedCold);
-    w.put(s.rejectedUnstable);
-    w.put(s.rejectedNoSlice);
-    w.put(s.rejectedEnergy);
-    w.put(s.rejectedMatch);
-    w.put(s.selected);
-    w.put(s.recInsertions);
-    w.put(s.coveredDynLoads);
-    w.put(s.totalDynLoads);
-    w.put(s.analysisWarnings);
-    w.put(s.analysisNotes);
-    w.put(s.prunedSites);
-    w.put(s.prunedProductions);
-}
-
-CompileStats
-getStats(ByteReader &r)
-{
-    CompileStats s;
-    s.sitesSeen = r.get<std::uint64_t>();
-    s.rejectedCold = r.get<std::uint64_t>();
-    s.rejectedUnstable = r.get<std::uint64_t>();
-    s.rejectedNoSlice = r.get<std::uint64_t>();
-    s.rejectedEnergy = r.get<std::uint64_t>();
-    s.rejectedMatch = r.get<std::uint64_t>();
-    s.selected = r.get<std::uint64_t>();
-    s.recInsertions = r.get<std::uint64_t>();
-    s.coveredDynLoads = r.get<std::uint64_t>();
-    s.totalDynLoads = r.get<std::uint64_t>();
-    s.analysisWarnings = r.get<std::uint64_t>();
-    s.analysisNotes = r.get<std::uint64_t>();
-    s.prunedSites = r.get<std::uint64_t>();
-    s.prunedProductions = r.get<std::uint64_t>();
-    return s;
+    auto each = [&fn](auto &...fields) { (fn(fields), ...); };
+    if constexpr (std::is_same_v<std::remove_const_t<Stats>, CompileStats>) {
+        each(s.sitesSeen, s.rejectedCold, s.rejectedUnstable,
+             s.rejectedNoSlice, s.rejectedEnergy, s.rejectedMatch,
+             s.selected, s.recInsertions, s.coveredDynLoads,
+             s.totalDynLoads, s.analysisWarnings, s.analysisNotes,
+             s.prunedSites, s.prunedProductions);
+    } else {
+        static_assert(std::is_same_v<std::remove_const_t<Stats>, SimStats>);
+        each(s.dynInstrs, s.dynLoads, s.dynStores, s.cycles,
+             s.l2WritebackInstalls, s.energy, s.perCategory, s.rcmpSeen,
+             s.recomputations, s.fallbackLoads, s.recomputedInstrs,
+             s.histReads, s.histWrites, s.histOverflows,
+             s.recomputeChecked, s.recomputeMismatches, s.sfileAborts,
+             s.histMissFallbacks, s.swappedByLevel, s.fallbackByLevel,
+             s.loadUseStalls, s.loadUseStallCycles, s.controlBubbles,
+             s.controlBubbleCycles, s.mispredictFlushes,
+             s.mispredictFlushCycles, s.predictorHits,
+             s.predictorMisses);
+    }
 }
 
 void
@@ -250,16 +243,6 @@ ArtifactCache::load(std::uint64_t key) const
     return result;
 }
 
-bool
-ArtifactCache::holds(std::uint64_t key) const
-{
-    ScopedSpan span("cache:probe");
-    std::error_code error;
-    const bool present = std::filesystem::exists(entryPath(key), error);
-    span.counter("present", present ? 1 : 0);
-    return present;
-}
-
 std::optional<CompileResult>
 ArtifactCache::loadValidated(std::uint64_t key) const
 {
@@ -302,7 +285,11 @@ ArtifactCache::loadValidated(std::uint64_t key) const
 
     CompileResult result;
     result.program = std::move(*program);
-    result.stats = getStats(r);
+    auto get = [&r](auto &field) {
+        field = r.get<std::remove_reference_t<decltype(field)>>();
+    };
+    forEachField(result.stats, get);
+    forEachField(result.profileRun, get);
     std::uint64_t slice_count = r.get<std::uint64_t>();
     if (r.failed() || slice_count > r.remaining() / sizeof(std::uint32_t))
         return std::nullopt;
@@ -326,7 +313,9 @@ ArtifactCache::store(std::uint64_t key, const CompileResult &result) const
     std::vector<std::uint8_t> amnb = serializeProgram(result.program);
     w.put(static_cast<std::uint64_t>(amnb.size()));
     w.putBytes(amnb.data(), amnb.size());
-    putStats(w, result.stats);
+    auto put = [&w](const auto &field) { w.put(field); };
+    forEachField(result.stats, put);
+    forEachField(result.profileRun, put);
     w.put(static_cast<std::uint64_t>(result.slices.size()));
     for (const RSlice &slice : result.slices)
         putSlice(w, slice);

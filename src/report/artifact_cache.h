@@ -16,8 +16,13 @@
  *
  * Entry format (`<key>.amnbc`, little-endian, versioned):
  *   magic "AMNC" | u32 version | u64 key | u64 amnbLen | amnb bytes
- *   | CompileStats fields | u64 sliceCount | slices
- *   | u64 fnv1a checksum of everything before it
+ *   | CompileStats fields | profileRun SimStats fields | u64 sliceCount
+ *   | slices | u64 fnv1a checksum of everything before it
+ * The two stats blocks are written and read through one field list
+ * per struct. profileRun is the compile's scalar profiling run, which
+ * is the workload's classic run on the scalar backend, so a hit needs
+ * no classic run there; the key covers everything that run depends on
+ * (program, energy model, hierarchy, runLimit).
  *
  * Robustness contract: a missing, truncated, bit-flipped, or
  * version-skewed entry is a silent miss — the caller recompiles and
@@ -57,14 +62,11 @@ class ArtifactCache
     /**
      * Look up a compiled artifact. Returns nullopt on miss or on any
      * validation failure (corruption, version skew, key mismatch).
-     * A hit carries the stored binary, slices, and selection stats;
-     * the wall-clock fields are zero (no work was done).
+     * A hit carries the stored binary, slices, selection stats and
+     * profiling-run stats; the wall-clock fields, passTimes and
+     * profilerCounters are empty (no work was done).
      */
     std::optional<CompileResult> load(std::uint64_t key) const;
-
-    /** Whether an entry file for `key` exists. It may still fail to
-     * load: only load() validates it. */
-    bool holds(std::uint64_t key) const;
 
     /** Store a compiled artifact (atomic temp-file + rename; best
      * effort — I/O failure is logged and swallowed, the cache is an
@@ -83,7 +85,7 @@ class ArtifactCache
 };
 
 /** Entry format version (the salt; bump on any layout change). */
-inline constexpr std::uint32_t kArtifactCacheVersion = 1;
+inline constexpr std::uint32_t kArtifactCacheVersion = 2;
 
 /** Append one `key=value;` field to a canonical config string; doubles
  * print as `%.17g`, so equal values give equal bytes. */

@@ -143,10 +143,10 @@ ExperimentRunner::canonicalConfigString(const ExperimentConfig &config)
 void
 ExperimentRunner::prepare(BenchmarkResult &result,
                           const Workload &workload,
-                          const std::vector<Policy> &policies,
-                          ThreadPool *pool) const
+                          const std::vector<Policy> &policies) const
 {
     ScopedSpan prepare_span("prepare", workload.name);
+    AMNESIAC_ASSERT(!policies.empty(), "no policy to run");
     result.name = workload.name;
 
     bool need_oracle = std::any_of(policies.begin(), policies.end(),
@@ -170,84 +170,63 @@ ExperimentRunner::prepare(BenchmarkResult &result,
         add_set(true, result.oracleCompiled);
 
     // The artifact cache is opt-in (explicit dir or environment) and
-    // content-free: a hit replays the byte-identical binary + stats a
-    // cold compile would produce, so only the wall-clock changes. Each
-    // set caches under its own key; a set with no entry compiles, and
-    // so does one whose entry fails to load, together in one
-    // compileSets call that shares its profile and dry run.
+    // content-free: a hit replays the byte-identical compile result a
+    // cold compile would produce, profiling-run stats included, so only
+    // the wall-clock changes. Each set caches under its own key; the
+    // sets that miss, unreadable entries included, compile together in
+    // one compileSets call that shares its profile and dry run.
+    WallClock::time_point start = WallClock::now();
     const std::string cache_dir =
         _config.noCache ? std::string() : resolveCacheDir(_config.cacheDir);
     std::optional<ArtifactCache> cache;
     if (!cache_dir.empty())
         cache.emplace(cache_dir);
     std::vector<std::uint64_t> keys(configs.size());
-    std::vector<bool> stored(configs.size(), false);
-    for (std::size_t k = 0; k < configs.size(); ++k)
+    std::vector<CompilerConfig> missed;
+    std::vector<std::size_t> missed_at;
+    for (std::size_t k = 0; k < configs.size(); ++k) {
         if (cache) {
             keys[k] = ArtifactCache::key(workload.program, _config.energy,
                                          _config.hierarchy, configs[k]);
-            stored[k] = cache->holds(keys[k]);
+            if (std::optional<CompileResult> hit = cache->load(keys[k])) {
+                *outputs[k] = std::move(*hit);
+                ++result.manifest.cacheHits;
+                continue;
+            }
+            ++result.manifest.cacheMisses;
         }
+        missed.push_back(configs[k]);
+        missed_at.push_back(k);
+    }
+    if (!missed.empty()) {
+        AmnesicCompiler compiler(energyModel(), _config.hierarchy);
+        std::vector<CompileResult> compiled =
+            compiler.compileSets(workload.program, missed);
+        for (std::size_t m = 0; m < missed.size(); ++m) {
+            const std::size_t k = missed_at[m];
+            if (cache)
+                cache->store(keys[k], compiled[m]);
+            *outputs[k] = std::move(compiled[m]);
+        }
+    }
+    result.manifest.phases.compileSec = secondsSince(start);
 
-    // The compile's profiling run is a classic run of the workload
-    // under this config's energy model, hierarchy and runLimit, on the
-    // scalar backend, and its observer is passive. On the scalar
-    // backend its stats are therefore the classic reference stats,
-    // whole (breakeven_test pins it on every registry workload), so
-    // when a set has no entry, and so surely compiles, the classic
-    // stats come from there and no classic run is made: classicSec
-    // stays 0. A pipelined config (whose cycles differ), or one whose
-    // every set has an entry, runs the classic reference itself,
-    // beside the cache reads and any compile. The jobs write disjoint
-    // fields of `result`.
-    const bool classic_from_profile =
-        std::find(stored.begin(), stored.end(), false) != stored.end() &&
-        _config.timing.backend == TimingBackend::Scalar;
-    std::vector<std::function<void()>> tasks;
-    if (!classic_from_profile)
-        tasks.push_back([this, &result, &workload] {
-            ScopedSpan span("classic", workload.name);
-            WallClock::time_point start = WallClock::now();
-            result.classic = runClassic(workload.program);
-            result.manifest.phases.classicSec = secondsSince(start);
-            span.counter("instrs", result.classic.dynInstrs);
-        });
-    if (!configs.empty())
-        tasks.push_back([&] {
-            WallClock::time_point start = WallClock::now();
-            std::vector<CompilerConfig> missed;
-            std::vector<std::size_t> missed_at;
-            for (std::size_t k = 0; k < configs.size(); ++k) {
-                std::optional<CompileResult> hit;
-                if (stored[k])
-                    hit = cache->load(keys[k]);
-                if (hit) {
-                    *outputs[k] = std::move(*hit);
-                    ++result.manifest.cacheHits;
-                    continue;
-                }
-                if (cache)
-                    ++result.manifest.cacheMisses;
-                missed.push_back(configs[k]);
-                missed_at.push_back(k);
-            }
-            if (!missed.empty()) {
-                AmnesicCompiler compiler(energyModel(), _config.hierarchy);
-                std::vector<CompileResult> compiled =
-                    compiler.compileSets(workload.program, missed);
-                if (classic_from_profile)
-                    result.classic = compiled.front().profileRun;
-                for (std::size_t m = 0; m < missed.size(); ++m) {
-                    const std::size_t k = missed_at[m];
-                    if (cache)
-                        cache->store(keys[k], compiled[m]);
-                    *outputs[k] = std::move(compiled[m]);
-                }
-            }
-            result.manifest.phases.compileSec = secondsSince(start);
-        });
-    parallelFor(pool, tasks.size(),
-                [&tasks](std::size_t i) { tasks[i](); });
+    // The profiling run is a classic run of the workload under this
+    // config's energy model, hierarchy and runLimit on the scalar
+    // backend, with a passive observer: on the scalar backend its
+    // stats, computed or loaded, are the classic reference stats whole
+    // (breakeven_test pins it on every registry workload), and
+    // classicSec stays 0. The pipelined backend's cycles differ, so
+    // there the classic run is made.
+    if (_config.timing.backend == TimingBackend::Scalar) {
+        result.classic = outputs.front()->profileRun;
+    } else {
+        ScopedSpan span("classic", workload.name);
+        WallClock::time_point classic_start = WallClock::now();
+        result.classic = runClassic(workload.program);
+        result.manifest.phases.classicSec = secondsSince(classic_start);
+        span.counter("instrs", result.classic.dynInstrs);
+    }
     result.manifest.phases.analysisSec =
         result.compiled.analysisSec + result.oracleCompiled.analysisSec;
     result.manifest.phases.profileSec =
@@ -400,26 +379,7 @@ BenchmarkResult
 ExperimentRunner::run(const Workload &workload,
                       const std::vector<Policy> &policies) const
 {
-    ScopedSpan run_span("run", workload.name);
-    WallClock::time_point start = WallClock::now();
-    unsigned jobs = effectiveJobs();
-    std::optional<ThreadPool> pool;
-    if (jobs > 1)
-        pool.emplace(jobs);
-
-    BenchmarkResult result;
-    prepare(result, workload, policies, pool ? &*pool : nullptr);
-
-    result.policies.resize(policies.size());
-    parallelFor(pool ? &*pool : nullptr, policies.size(),
-                [this, &result, &policies](std::size_t i) {
-                    result.policies[i] = runPolicy(result, policies[i]);
-                });
-    for (const PolicyOutcome &outcome : result.policies)
-        result.manifest.phases.simulateSec += outcome.wallSec;
-    result.manifest.phases.totalSec = secondsSince(start);
-    stampManifest(result.manifest, pool ? &*pool : nullptr);
-    return result;
+    return std::move(runMany({workload}, policies).front());
 }
 
 std::vector<BenchmarkResult>
@@ -430,24 +390,20 @@ ExperimentRunner::runMany(const std::vector<Workload> &workloads,
     many_span.counter("workloads", workloads.size());
     many_span.counter("policies", policies.size());
     WallClock::time_point start = WallClock::now();
-    unsigned jobs = effectiveJobs();
-    if (jobs <= 1) {
-        std::vector<BenchmarkResult> results;
-        results.reserve(workloads.size());
-        for (const Workload &workload : workloads)
-            results.push_back(run(workload, policies));
-        return results;
-    }
-
-    ThreadPool pool(jobs);
+    const unsigned jobs = effectiveJobs();
+    std::optional<ThreadPool> workers;
+    if (jobs > 1)
+        workers.emplace(jobs);
+    ThreadPool *pool = workers ? &*workers : nullptr;
     std::vector<BenchmarkResult> results(workloads.size());
 
-    // Phase 1 — per-workload preparation (classic run + compiles), one
-    // task per workload: coarse enough to keep every core busy without
-    // oversubscribing the compile replays.
-    parallelFor(&pool, workloads.size(),
+    // Phase 1 — per-workload preparation (cache reads, compiles, the
+    // classic run on the pipelined backend), one task per workload:
+    // coarse enough to keep every core busy without oversubscribing
+    // the compile replays.
+    parallelFor(pool, workloads.size(),
                 [this, &results, &workloads, &policies](std::size_t i) {
-                    prepare(results[i], workloads[i], policies, nullptr);
+                    prepare(results[i], workloads[i], policies);
                 });
 
     // Phase 2 — the flattened (workload × policy) matrix. Every cell
@@ -455,7 +411,7 @@ ExperimentRunner::runMany(const std::vector<Workload> &workloads,
     // input order regardless of scheduling.
     for (BenchmarkResult &result : results)
         result.policies.resize(policies.size());
-    parallelFor(&pool, workloads.size() * policies.size(),
+    parallelFor(pool, workloads.size() * policies.size(),
                 [this, &results, &policies](std::size_t cell) {
                     std::size_t w = cell / policies.size();
                     std::size_t p = cell % policies.size();
@@ -471,7 +427,7 @@ ExperimentRunner::runMany(const std::vector<Workload> &workloads,
         for (const PolicyOutcome &outcome : result.policies)
             result.manifest.phases.simulateSec += outcome.wallSec;
         result.manifest.phases.totalSec = secondsSince(start);
-        stampManifest(result.manifest, &pool);
+        stampManifest(result.manifest, pool);
     }
     return results;
 }

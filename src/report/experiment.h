@@ -38,7 +38,7 @@ struct ExperimentConfig
     /**
      * Worker threads for the experiment pipeline: the (workload ×
      * policy) simulation matrix fans out across a thread pool.
-     * 0 = hardware_concurrency, 1 = the exact pre-pool serial path.
+     * 0 = hardware_concurrency, 1 = no pool (every task inline).
      * Serial and parallel runs produce bit-identical stats (every job
      * is an independent deterministic simulation merged in input
      * order).
@@ -128,14 +128,16 @@ class ExperimentRunner
     /** Full matrix: classic + all five policies. */
     BenchmarkResult run(const Workload &workload) const;
 
-    /** Restricted policy list (cheaper for focused benches). */
+    /** Restricted policy list (cheaper for focused benches): runMany
+     * of this one workload. */
     BenchmarkResult run(const Workload &workload,
                         const std::vector<Policy> &policies) const;
 
     /**
      * The full (workload × policy) matrix, fanned out over
      * `config().jobs` workers and merged in input order — results are
-     * bit-identical to calling run() per workload serially.
+     * bit-identical for every `jobs` value. Phase 1 prepares each
+     * workload, phase 2 simulates every (workload, policy) cell.
      */
     std::vector<BenchmarkResult>
     runMany(const std::vector<Workload> &workloads,
@@ -167,13 +169,13 @@ class ExperimentRunner
      * of a finished result's manifest. */
     void stampManifest(RunManifest &manifest, const ThreadPool *pool) const;
 
-    /** The classic reference stats + the compiles the policy list
-     * needs. On the scalar backend a compile's profiling run supplies
-     * the classic stats (no classic run; classicSec stays 0); a cache
-     * entry for every set, or the pipelined backend, runs them. */
+    /** The compiles the policy list needs (cache reads, then one
+     * compileSets call for the sets that miss) and the classic
+     * reference stats: on the scalar backend the profiling run of the
+     * first set, computed or loaded (no classic run; classicSec stays
+     * 0); on the pipelined backend a classic run. */
     void prepare(BenchmarkResult &result, const Workload &workload,
-                 const std::vector<Policy> &policies,
-                 ThreadPool *pool) const;
+                 const std::vector<Policy> &policies) const;
     /** One (prepared workload, policy) cell of the §5 matrix. */
     PolicyOutcome runPolicy(const BenchmarkResult &prepared,
                             Policy policy) const;

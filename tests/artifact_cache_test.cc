@@ -1,20 +1,24 @@
 /**
  * @file
  * The artifact cache's contract (DESIGN.md §3h): a hit replays the
- * byte-identical binary, slices, and selection stats a cold compile
- * would produce; any change to a compile input (program bytes, energy
- * model, hierarchy, compiler policy) changes the key; a corrupted
- * entry — truncated or bit-flipped anywhere — is a silent miss that
- * recompiles and heals the entry; and concurrent prepares of the same
- * key are safe (atomic publish, last writer wins with equal bytes).
+ * byte-identical binary, slices, selection stats and profiling-run
+ * stats a cold compile would produce; any change to a compile input
+ * (program bytes, energy model, hierarchy, compiler policy) changes the
+ * key; a corrupted entry — truncated or bit-flipped anywhere — is a
+ * silent miss that recompiles and heals the entry; and concurrent
+ * prepares of the same key are safe (atomic publish, last writer wins
+ * with equal bytes).
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <thread>
+#include <type_traits>
 #include <unistd.h>
 #include <vector>
 
@@ -76,27 +80,18 @@ TEST(ArtifactCache, HitReplaysByteIdenticalCompile)
                                            HierarchyConfig{},
                                            CompilerConfig{});
     EXPECT_FALSE(cache.load(key).has_value()) << "empty cache must miss";
-    EXPECT_FALSE(cache.holds(key));
 
     cache.store(key, cold);
-    EXPECT_TRUE(cache.holds(key));
     std::optional<CompileResult> hit = cache.load(key);
     ASSERT_TRUE(hit.has_value());
     EXPECT_EQ(serializeProgram(cold.program),
               serializeProgram(hit->program));
 
-    // Selection stats round-trip exactly.
-    EXPECT_EQ(cold.stats.sitesSeen, hit->stats.sitesSeen);
-    EXPECT_EQ(cold.stats.selected, hit->stats.selected);
-    EXPECT_EQ(cold.stats.rejectedCold, hit->stats.rejectedCold);
-    EXPECT_EQ(cold.stats.rejectedUnstable, hit->stats.rejectedUnstable);
-    EXPECT_EQ(cold.stats.rejectedEnergy, hit->stats.rejectedEnergy);
-    EXPECT_EQ(cold.stats.rejectedMatch, hit->stats.rejectedMatch);
-    EXPECT_EQ(cold.stats.recInsertions, hit->stats.recInsertions);
-    EXPECT_EQ(cold.stats.coveredDynLoads, hit->stats.coveredDynLoads);
-    EXPECT_EQ(cold.stats.totalDynLoads, hit->stats.totalDynLoads);
-    EXPECT_EQ(cold.stats.prunedSites, hit->stats.prunedSites);
-    EXPECT_EQ(cold.stats.prunedProductions, hit->stats.prunedProductions);
+    // Selection stats and the profiling run's stats round-trip
+    // exactly.
+    EXPECT_TRUE(cold.stats == hit->stats);
+    EXPECT_GT(cold.profileRun.dynInstrs, 0u);
+    EXPECT_TRUE(cold.profileRun == hit->profileRun);
 
     // Slices round-trip field-for-field (figures and ablations read
     // them from the cached result).
@@ -139,6 +134,38 @@ TEST(ArtifactCache, HitReplaysByteIdenticalCompile)
     // A hit did no work: its wall-clock shares are zero.
     EXPECT_EQ(0.0, hit->profileSec);
     EXPECT_EQ(0.0, hit->analysisSec);
+}
+
+/** `Stats` with every byte nonzero and no two 8-byte fields alike;
+ * the bytes stay below 0x3f, so every double is finite. */
+template <typename Stats>
+Stats
+patterned()
+{
+    static_assert(std::is_trivially_copyable_v<Stats>);
+    std::array<std::uint8_t, sizeof(Stats)> bytes;
+    for (std::size_t i = 0; i < bytes.size(); ++i)
+        bytes[i] = static_cast<std::uint8_t>(0x10 + i % 47);
+    Stats stats;
+    std::memcpy(&stats, bytes.data(), bytes.size());
+    return stats;
+}
+
+TEST(ArtifactCache, EveryStatsFieldRoundTrips)
+{
+    // A field the entry's list drops, or reads in another's place,
+    // breaks the equality.
+    CompileResult stored = compileCold(makeWorkload("stream-recompute"));
+    stored.stats = patterned<CompileStats>();
+    stored.profileRun = patterned<SimStats>();
+    ASSERT_TRUE(stored.profileRun == stored.profileRun);
+
+    ArtifactCache cache(freshCacheDir("stats"));
+    cache.store(7, stored);
+    std::optional<CompileResult> hit = cache.load(7);
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_TRUE(hit->stats == stored.stats);
+    EXPECT_TRUE(hit->profileRun == stored.profileRun);
 }
 
 TEST(ArtifactCache, EveryDigestInputChangesTheKey)
@@ -211,7 +238,7 @@ TEST(ArtifactCache, KeyOfDefaultConfigIsPinned)
     // canonical string keeps its exact bytes.
     EXPECT_EQ(ArtifactCache::key(makeWorkload("mcf", 1).program, {}, {},
                                  {}),
-              0x85ecb8b6b332edaeull);
+              0xee4636a1e96b66f1ull);
 }
 
 TEST(ArtifactCache, CorruptEntriesAreSilentMisses)

@@ -351,7 +351,7 @@ TEST(Manifest, ColdScalarRunTakesClassicStatsFromTheProfile)
     const RunManifest &manifest = result.manifest;
     expectPipelineFields(manifest, config);
     // The compile's profiling run supplies the classic stats, so no
-    // classic run is made: the pool runs the compile and the two
+    // classic run is made: the pool runs the preparation and the two
     // policy simulations.
     EXPECT_EQ(manifest.phases.classicSec, 0.0);
     EXPECT_EQ(manifest.pool.jobsExecuted, 3u);
@@ -366,13 +366,13 @@ TEST(Manifest, PipelinedRunMakesItsOwnClassicRun)
     const RunManifest manifest = twoPolicyRun(config).manifest;
     expectPipelineFields(manifest, config);
     // The profiling machine is scalar, so its cycles are not the
-    // pipelined classic run's: the classic run, the compile and the
-    // two policy simulations all go through the pool.
+    // pipelined classic run's: the preparation makes the classic run
+    // after the compile, then the pool runs the two policy simulations.
     EXPECT_GT(manifest.phases.classicSec, 0.0);
-    EXPECT_EQ(manifest.pool.jobsExecuted, 4u);
+    EXPECT_EQ(manifest.pool.jobsExecuted, 3u);
 }
 
-TEST(Manifest, CacheHitMakesItsOwnClassicRun)
+TEST(Manifest, CacheHitTakesItsClassicStatsFromTheEntry)
 {
     namespace fs = std::filesystem;
     const fs::path dir =
@@ -384,29 +384,33 @@ TEST(Manifest, CacheHitMakesItsOwnClassicRun)
     const BenchmarkResult cold = twoPolicyRun(config);
     EXPECT_EQ(cold.manifest.cacheMisses, 1u);
     EXPECT_EQ(cold.manifest.phases.classicSec, 0.0);
+    const SimStats classic =
+        ExperimentRunner(config).runClassic(
+            makeWorkload("stream-recompute", 1).program);
+    EXPECT_TRUE(cold.classic == classic);
 
-    // The hit has no profiling run, so the classic run is made; the
-    // pool runs it beside the cache read, then the two policy
-    // simulations.
+    // The entry keeps the profiling run that made it, so the hit makes
+    // no classic run either: the pool runs the preparation (the cache
+    // read) and the two policy simulations.
     const BenchmarkResult warm = twoPolicyRun(config);
     const RunManifest &manifest = warm.manifest;
     expectPipelineFields(manifest, config);
     EXPECT_EQ(manifest.cacheHits, 1u);
-    EXPECT_GT(manifest.phases.classicSec, 0.0);
-    EXPECT_EQ(manifest.pool.jobsExecuted, 4u);
-    EXPECT_TRUE(warm.classic == cold.classic);
+    EXPECT_EQ(manifest.phases.classicSec, 0.0);
+    EXPECT_EQ(manifest.pool.jobsExecuted, 3u);
+    EXPECT_TRUE(warm.classic == classic);
 
-    // An entry that exists but fails to load compiles beside the
-    // classic run, which then supplies the stats.
+    // An entry that exists but fails to load is a miss like any other:
+    // the set compiles and its profiling run supplies the stats.
     for (const fs::directory_entry &entry : fs::directory_iterator(dir))
         std::ofstream(entry.path(), std::ios::trunc) << "not an entry";
     const BenchmarkResult unreadable = twoPolicyRun(config);
     EXPECT_EQ(unreadable.manifest.cacheHits, 0u);
     EXPECT_EQ(unreadable.manifest.cacheMisses, 1u);
-    EXPECT_GT(unreadable.manifest.phases.classicSec, 0.0);
+    EXPECT_EQ(unreadable.manifest.phases.classicSec, 0.0);
     EXPECT_GT(unreadable.manifest.phases.profileSec, 0.0);
-    EXPECT_EQ(unreadable.manifest.pool.jobsExecuted, 4u);
-    EXPECT_TRUE(unreadable.classic == cold.classic);
+    EXPECT_EQ(unreadable.manifest.pool.jobsExecuted, 3u);
+    EXPECT_TRUE(unreadable.classic == classic);
     fs::remove_all(dir);
 }
 
