@@ -8,6 +8,8 @@
  */
 
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "common.h"
 #include "util/table.h"
@@ -21,24 +23,29 @@ main(int argc, char **argv)
     ExperimentConfig config = args.config;
     bench::banner("Ablation: global vs per-site residence model", config);
 
+    // One runMany per residence model, so the four workloads overlap.
+    const std::vector<std::string> names = {"sr", "bfs", "is", "mcf"};
+    std::vector<Workload> workloads;
+    for (const std::string &name : names)
+        workloads.push_back(makePaperBenchmark(name, args.seed));
+    ExperimentConfig global_cfg = config;
+    global_cfg.compiler.globalResidenceModel = true;
+    ExperimentConfig site_cfg = config;
+    site_cfg.compiler.globalResidenceModel = false;
+    std::fprintf(stderr, "  [ablation] global model...\n");
+    std::vector<BenchmarkResult> global =
+        ExperimentRunner(global_cfg).runMany(workloads, {Policy::Compiler});
+    std::fprintf(stderr, "  [ablation] per-site model...\n");
+    std::vector<BenchmarkResult> site =
+        ExperimentRunner(site_cfg).runMany(workloads, {Policy::Compiler});
+
     Table table({"bench", "Compiler EDP % (global model)",
                  "Compiler EDP % (per-site model)"});
-    for (const std::string &name : {std::string("sr"), std::string("bfs"),
-                                    std::string("is"), std::string("mcf")}) {
-        std::fprintf(stderr, "  [ablation] %s...\n", name.c_str());
-        Workload w = makePaperBenchmark(name, args.seed);
-        ExperimentConfig global_cfg = config;
-        global_cfg.compiler.globalResidenceModel = true;
-        ExperimentConfig site_cfg = config;
-        site_cfg.compiler.globalResidenceModel = false;
-        BenchmarkResult g =
-            ExperimentRunner(global_cfg).run(w, {Policy::Compiler});
-        BenchmarkResult s =
-            ExperimentRunner(site_cfg).run(w, {Policy::Compiler});
+    for (std::size_t i = 0; i < names.size(); ++i) {
         table.row()
-            .cell(name)
-            .cell(g.byPolicy(Policy::Compiler)->edpGainPct, 2)
-            .cell(s.byPolicy(Policy::Compiler)->edpGainPct, 2);
+            .cell(names[i])
+            .cell(global[i].byPolicy(Policy::Compiler)->edpGainPct, 2)
+            .cell(site[i].byPolicy(Policy::Compiler)->edpGainPct, 2);
     }
     std::printf("%s\n", table.render().c_str());
     std::printf("Expected: sr's degradation under the paper's global\n"

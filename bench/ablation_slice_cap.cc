@@ -7,9 +7,11 @@
  */
 
 #include <cstdio>
+#include <vector>
 
 #include "common.h"
 #include "util/table.h"
+#include "util/thread_pool.h"
 #include "workloads/kernels.h"
 
 int
@@ -26,20 +28,29 @@ main(int argc, char **argv)
     spec.chains = {{48, true, 16, 9, 80, 0, 20000}};
     Workload w = buildWorkload(spec);
 
-    Table table({"maxInstrs", "slices", "mean len", "C-Oracle EDP gain %"});
-    for (std::uint32_t cap : {2u, 4u, 8u, 16u, 32u, 50u, 72u}) {
+    // One workload under seven configurations: the configurations are
+    // what can overlap, one single-worker runner each on a shared pool.
+    const std::vector<std::uint32_t> caps = {2, 4, 8, 16, 32, 50, 72};
+    std::vector<BenchmarkResult> results(caps.size());
+    ThreadPool pool(ExperimentRunner(config).effectiveJobs());
+    parallelFor(&pool, caps.size(), [&](std::size_t i) {
         ExperimentConfig swept = config;
-        swept.compiler.builder.maxInstrs = cap;
-        swept.compiler.builder.maxHeight = cap;
-        ExperimentRunner runner(swept);
-        BenchmarkResult r = runner.run(w, {Policy::COracle});
+        swept.jobs = 1;
+        swept.compiler.builder.maxInstrs = caps[i];
+        swept.compiler.builder.maxHeight = caps[i];
+        results[i] = ExperimentRunner(swept).run(w, {Policy::COracle});
+    });
+
+    Table table({"maxInstrs", "slices", "mean len", "C-Oracle EDP gain %"});
+    for (std::size_t i = 0; i < caps.size(); ++i) {
+        const BenchmarkResult &r = results[i];
         double mean = 0.0;
         for (const RSlice &slice : r.compiled.slices)
             mean += slice.length();
         if (!r.compiled.slices.empty())
             mean /= static_cast<double>(r.compiled.slices.size());
         table.row()
-            .cell(static_cast<long long>(cap))
+            .cell(static_cast<long long>(caps[i]))
             .cell(static_cast<long long>(r.compiled.slices.size()))
             .cell(mean, 1)
             .cell(r.byPolicy(Policy::COracle)->edpGainPct, 2);

@@ -40,6 +40,7 @@ AmnesicMachine::AmnesicMachine(const Program &program,
     EnergyModel decision = config.decisionNonMemScale > 0.0
         ? energy.withNonMemScale(config.decisionNonMemScale)
         : energy;
+    _failedSlices.assign(program.slices.size(), 0);
     _sliceEnergy.resize(program.slices.size(), 0.0);
     _sliceChargedNj.resize(program.slices.size(), 0.0);
     for (const RSliceMeta &meta : program.slices) {
@@ -128,7 +129,7 @@ AmnesicMachine::execRec(const Instruction &instr)
         // §3.5: a failed REC poisons its slice; the matching RCMP must
         // skip recomputation from now on.
         ++mutableStats().histOverflows;
-        _failedSlices.insert(instr.sliceId);
+        poisonSlice(instr.sliceId);
     }
     if (_trace)
         _trace->onRec(stats().cycles, pc(), instr.sliceId, instr.leafAddr,
@@ -142,6 +143,8 @@ AmnesicMachine::execRcmp(const Instruction &instr)
     std::uint32_t rcmp_pc = pc();
     std::uint64_t addr = effectiveAddr(instr);
     ++mutableStats().rcmpSeen;
+    AMNESIAC_ASSERT(instr.sliceId < _failedSlices.size(),
+                    "RCMP names no slice");
 
     // The fused branch itself (§4: modeled after a conditional branch).
     chargeNonMem(InstrCategory::Rcmp);
@@ -156,14 +159,14 @@ AmnesicMachine::execRcmp(const Instruction &instr)
         traced.sliceId = instr.sliceId;
         traced.addr = addr;
         traced.residence = residence;
-        traced.poisoned = _failedSlices.count(instr.sliceId) != 0;
+        traced.poisoned = _failedSlices[instr.sliceId] != 0;
         traced.loadNj = energyModel().loadEnergy(residence);
         traced.sliceNj = _sliceChargedNj[instr.sliceId];
         traced.estSliceNj = _sliceEnergy[instr.sliceId];
     }
 
-    bool recompute = !_failedSlices.count(instr.sliceId) &&
-                     shouldRecompute(instr, addr, residence,
+    bool recompute = !_failedSlices[instr.sliceId] &&
+                     shouldRecompute(instr, residence,
                                      _trace ? &traced : nullptr);
 
     if (recompute) {
@@ -204,9 +207,17 @@ AmnesicMachine::execRcmp(const Instruction &instr)
     }
 }
 
+void
+AmnesicMachine::poisonSlice(std::uint32_t slice_id)
+{
+    AMNESIAC_ASSERT(slice_id < _failedSlices.size(), "slice id out of range");
+    _failedSliceCount += _failedSlices[slice_id] == 0;
+    _failedSlices[slice_id] = 1;
+}
+
 bool
 AmnesicMachine::shouldRecompute(const Instruction &instr,
-                                std::uint64_t addr, MemLevel residence,
+                                MemLevel residence,
                                 AmnesicTraceHooks::RcmpEvent *trace)
 {
     const EnergyModel &energy = energyModel();
@@ -215,7 +226,7 @@ AmnesicMachine::shouldRecompute(const Instruction &instr,
         // Runtime-oblivious: every RCMP fires (§3.3.1).
         return true;
       case Policy::FLC:
-        if (hierarchy().probe(MemLevel::L1, addr))
+        if (residence == MemLevel::L1)
             return false;  // the probe becomes the load's own L1 lookup
         // Miss: the probe energy is sunk on top of recomputation.
         chargeEnergy(energy.probeEnergy(MemLevel::L1),
@@ -223,8 +234,7 @@ AmnesicMachine::shouldRecompute(const Instruction &instr,
         chargeCycles(energy.probeLatency(MemLevel::L1));
         return true;
       case Policy::LLC:
-        if (hierarchy().probe(MemLevel::L1, addr) ||
-            hierarchy().probe(MemLevel::L2, addr))
+        if (residence != MemLevel::Memory)
             return false;
         chargeEnergy(energy.probeEnergy(MemLevel::L2),
                      &EnergyBreakdown::loadNj);
@@ -315,7 +325,7 @@ AmnesicMachine::traverseSlice(const Instruction &rcmp, std::uint64_t addr)
             // §3.4 capacity overflow: poison the slice so later RCMPs
             // skip straight to the load.
             ++mutableStats().sfileAborts;
-            _failedSlices.insert(rcmp.sliceId);
+            poisonSlice(rcmp.sliceId);
             result.sfileOverflow = true;
             return result;
         }

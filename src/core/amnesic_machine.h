@@ -9,7 +9,6 @@
 #ifndef AMNESIAC_CORE_AMNESIC_MACHINE_H
 #define AMNESIAC_CORE_AMNESIC_MACHINE_H
 
-#include <unordered_set>
 #include <vector>
 
 #include "core/policy.h"
@@ -208,7 +207,7 @@ class AmnesicMachine : public Machine
     const AmnesicConfig &config() const { return _config; }
 
     /** Slices currently poisoned by failed RECs or SFile overflow. */
-    std::size_t failedSliceCount() const { return _failedSlices.size(); }
+    std::size_t failedSliceCount() const { return _failedSliceCount; }
 
     /** Charged-model energy of one full traversal of a slice (the
      * realized Erc; the decision rule may use a pinned model instead). */
@@ -243,12 +242,14 @@ class AmnesicMachine : public Machine
     };
 
     void execRec(const Instruction &instr);
+    void poisonSlice(std::uint32_t slice_id);
     void execRcmp(const Instruction &instr);
-    /** Decide per §3.3.1. Probes are charged here. `trace` (when
-     * tracing) receives the predictor verdict; the decision itself is
-     * identical whether or not a tracer is attached. */
-    bool shouldRecompute(const Instruction &instr, std::uint64_t addr,
-                         MemLevel residence,
+    /** Decide per §3.3.1 from the load's `residence`: the FLC probe
+     * hits iff it is L1, the LLC probes iff it is not Memory. Probes
+     * are charged here. `trace` (when tracing) receives the predictor
+     * verdict; the decision itself is identical whether or not a
+     * tracer is attached. */
+    bool shouldRecompute(const Instruction &instr, MemLevel residence,
                          AmnesicTraceHooks::RcmpEvent *trace);
     /** Traverse the slice; anything but `completed` means fallback. */
     TraverseResult traverseSlice(const Instruction &rcmp,
@@ -260,7 +261,10 @@ class AmnesicMachine : public Machine
     Hist _hist;
     IBuff _ibuff;
     MissPredictor _predictor;
-    std::unordered_set<std::uint32_t> _failedSlices;
+    /** Per slice id: poisoned by a failed REC or an SFile overflow
+     * (§3.5), after which its RCMPs skip straight to the load. */
+    std::vector<std::uint8_t> _failedSlices;
+    std::size_t _failedSliceCount = 0;
     /** Precomputed per-slice runtime recompute energy (oracle rule). */
     std::vector<double> _sliceEnergy;
     /** Same sums under the charged model (site attribution / tracing). */

@@ -1,5 +1,6 @@
 #include "mem/cache.h"
 
+#include <algorithm>
 #include <bit>
 
 #include "util/logging.h"
@@ -32,7 +33,13 @@ Cache::Cache(const CacheConfig &config) : _config(config)
     _setShift = static_cast<std::uint32_t>(std::countr_zero(
         static_cast<std::uint64_t>(_numSets)));
     _setMask = _numSets - 1;
-    _lines.resize(static_cast<std::size_t>(_numSets) * config.ways);
+    AMNESIAC_ASSERT(_lineShift + _setShift > 0,
+                    "a tag must be narrower than the address, or it "
+                    "could equal the invalid tag");
+    std::size_t ways = static_cast<std::size_t>(_numSets) * config.ways;
+    _tags.assign(ways, kInvalidTag);
+    _stamps.assign(ways, 0);
+    _dirty.assign(ways, 0);
 }
 
 std::uint64_t
@@ -47,48 +54,66 @@ Cache::setIndex(std::uint64_t line_addr) const
     return static_cast<std::uint32_t>(line_addr & _setMask);
 }
 
+std::size_t
+Cache::setBase(std::uint64_t line_addr) const
+{
+    return static_cast<std::size_t>(setIndex(line_addr)) * _config.ways;
+}
+
+std::uint32_t
+Cache::findWay(std::size_t base, std::uint64_t tag) const
+{
+    // No early exit: a tag sits in at most one way, so the scan is a
+    // fixed-length run of compares and selects.
+    const std::uint64_t *tags = &_tags[base];
+    std::uint32_t found = _config.ways;
+    for (std::uint32_t w = 0; w < _config.ways; ++w)
+        found = tags[w] == tag ? w : found;
+    return found;
+}
+
 bool
 Cache::access(std::uint64_t addr, bool is_write, bool &evicted_dirty,
               std::uint64_t &evicted_addr)
 {
-    evicted_dirty = false;
-    evicted_addr = 0;
     ++_tick;
     std::uint64_t laddr = lineAddr(addr);
     std::uint64_t tag = laddr >> _setShift;
-    Line *set = &_lines[static_cast<std::size_t>(setIndex(laddr)) *
-                        _config.ways];
+    std::size_t base = setBase(laddr);
 
-    Line *victim = &set[0];
-    for (std::uint32_t w = 0; w < _config.ways; ++w) {
-        Line &line = set[w];
-        if (line.valid && line.tag == tag) {
-            line.lastUse = _tick;
-            line.dirty = line.dirty || is_write;
-            ++_stats.hits;
-            return true;
-        }
-        if (!line.valid) {
-            victim = &line;
-        } else if (victim->valid && line.lastUse < victim->lastUse) {
-            victim = &line;
-        }
+    std::uint32_t hit = findWay(base, tag);
+    if (hit != _config.ways) {
+        _stamps[base + hit] = _tick;
+        _dirty[base + hit] |= static_cast<std::uint8_t>(is_write);
+        ++_stats.hits;
+        evicted_dirty = false;
+        evicted_addr = 0;
+        return true;
     }
 
+    // The least stamp, ties to the later way: invalid ways (stamp 0)
+    // go first, the last of them winning; valid stamps are distinct.
+    const std::uint64_t *stamps = &_stamps[base];
+    std::uint64_t least = stamps[0];
+    for (std::uint32_t w = 1; w < _config.ways; ++w)
+        least = std::min(least, stamps[w]);
+    std::uint32_t victim = 0;
+    for (std::uint32_t w = 1; w < _config.ways; ++w)
+        victim = stamps[w] == least ? w : victim;
+    std::size_t slot = base + victim;
+
+    // An invalid way is clean, so only a valid dirty victim reports.
+    bool dirty = _dirty[slot] != 0;
     ++_stats.misses;
-    if (victim->valid) {
-        ++_stats.evictions;
-        if (victim->dirty) {
-            ++_stats.dirtyEvictions;
-            evicted_dirty = true;
-            evicted_addr = ((victim->tag << _setShift) |
-                            setIndex(laddr)) << _lineShift;
-        }
-    }
-    victim->valid = true;
-    victim->tag = tag;
-    victim->dirty = is_write;
-    victim->lastUse = _tick;
+    _stats.evictions += _stamps[slot] != 0;
+    _stats.dirtyEvictions += dirty;
+    evicted_dirty = dirty;
+    evicted_addr = dirty ? ((_tags[slot] << _setShift) | setIndex(laddr))
+                               << _lineShift
+                         : 0;
+    _tags[slot] = tag;
+    _stamps[slot] = _tick;
+    _dirty[slot] = static_cast<std::uint8_t>(is_write);
     return false;
 }
 
@@ -104,36 +129,29 @@ bool
 Cache::contains(std::uint64_t addr) const
 {
     std::uint64_t laddr = lineAddr(addr);
-    std::uint64_t tag = laddr >> _setShift;
-    const Line *set = &_lines[static_cast<std::size_t>(setIndex(laddr)) *
-                              _config.ways];
-    for (std::uint32_t w = 0; w < _config.ways; ++w)
-        if (set[w].valid && set[w].tag == tag)
-            return true;
-    return false;
+    return findWay(setBase(laddr), laddr >> _setShift) != _config.ways;
 }
 
 bool
 Cache::invalidate(std::uint64_t addr)
 {
     std::uint64_t laddr = lineAddr(addr);
-    std::uint64_t tag = laddr >> _setShift;
-    Line *set = &_lines[static_cast<std::size_t>(setIndex(laddr)) *
-                        _config.ways];
-    for (std::uint32_t w = 0; w < _config.ways; ++w) {
-        if (set[w].valid && set[w].tag == tag) {
-            set[w] = Line{};
-            return true;
-        }
-    }
-    return false;
+    std::size_t base = setBase(laddr);
+    std::uint32_t way = findWay(base, laddr >> _setShift);
+    if (way == _config.ways)
+        return false;
+    _tags[base + way] = kInvalidTag;
+    _stamps[base + way] = 0;
+    _dirty[base + way] = 0;
+    return true;
 }
 
 void
 Cache::reset()
 {
-    for (auto &line : _lines)
-        line = Line{};
+    std::fill(_tags.begin(), _tags.end(), kInvalidTag);
+    std::fill(_stamps.begin(), _stamps.end(), 0);
+    std::fill(_dirty.begin(), _dirty.end(), 0);
     _tick = 0;
     _stats = CacheStats{};
 }

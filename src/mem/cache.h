@@ -8,6 +8,7 @@
 #ifndef AMNESIAC_MEM_CACHE_H
 #define AMNESIAC_MEM_CACHE_H
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -42,6 +43,15 @@ struct CacheStats
  * The cache stores no data: access() reports hit/miss and whether a
  * dirty victim was evicted, which the hierarchy turns into write-back
  * traffic toward the next level.
+ *
+ * Each way is a tag, an LRU stamp and a dirty byte, kept in three flat
+ * arrays (numSets × ways, row-major by set). An invalid way holds tag
+ * kInvalidTag and stamp 0; a valid way's stamp is the logical time of
+ * its last access, so no two valid ways share one. Lookups compare
+ * every way of the set without an early exit (a tag sits in at most
+ * one way), and the victim is the way with the least stamp, ties going
+ * to the later way: the last invalid way if there is one, else the
+ * least recently used.
  */
 class Cache
 {
@@ -89,16 +99,16 @@ class Cache
     std::uint32_t numSets() const { return _numSets; }
 
   private:
-    struct Line
-    {
-        std::uint64_t tag = 0;
-        std::uint64_t lastUse = 0;
-        bool valid = false;
-        bool dirty = false;
-    };
+    /** Tag of an invalid way; no line address shifted right by the
+     * line and set bits can reach it. */
+    static constexpr std::uint64_t kInvalidTag = ~std::uint64_t{0};
 
     std::uint64_t lineAddr(std::uint64_t addr) const;
     std::uint32_t setIndex(std::uint64_t line_addr) const;
+    /** Index of the first way of `line_addr`'s set in the way arrays. */
+    std::size_t setBase(std::uint64_t line_addr) const;
+    /** Way of the set at `base` holding `tag`, or `ways` if none. */
+    std::uint32_t findWay(std::size_t base, std::uint64_t tag) const;
 
     CacheConfig _config;
     std::uint32_t _numSets;
@@ -107,8 +117,10 @@ class Cache
     std::uint32_t _lineShift = 0;
     std::uint32_t _setShift = 0;
     std::uint64_t _setMask = 0;
-    std::vector<Line> _lines;  ///< numSets × ways, row-major by set
-    std::uint64_t _tick = 0;   ///< logical time for LRU ordering
+    std::vector<std::uint64_t> _tags;    ///< kInvalidTag when invalid
+    std::vector<std::uint64_t> _stamps;  ///< last use; 0 when invalid
+    std::vector<std::uint8_t> _dirty;    ///< 0 when invalid
+    std::uint64_t _tick = 0;  ///< logical time for LRU ordering
     CacheStats _stats;
 };
 

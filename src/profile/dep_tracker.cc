@@ -37,28 +37,30 @@ DepTracker::alloc()
         if ((id & (kPageNodes - 1)) == 0)
             _pages.push_back(mapPage());
     }
-    slot(id) = ProducerNode{};
-    refs(id) = 1;
+    ProducerNode &node = slot(id);
+    node = ProducerNode{};
+    node.refs = 1;
     return id;
 }
 
 void
 DepTracker::unref(NodeId id)
 {
-    AMNESIAC_ASSERT(id < _size && refs(id) > 0, "bad unref");
-    if (refs(id) > 1) {
+    AMNESIAC_ASSERT(id < _size && slot(id).refs > 0, "bad unref");
+    ProducerNode &top = slot(id);
+    if (top.refs > 1) {
         // Not the last reference: nothing is recycled.
-        --refs(id);
+        --top.refs;
         return;
     }
     _reclaim.push_back(id);
     while (!_reclaim.empty()) {
         NodeId cur = _reclaim.back();
         _reclaim.pop_back();
-        AMNESIAC_ASSERT(cur < _size && refs(cur) > 0, "bad unref");
-        if (--refs(cur) != 0)
-            continue;
+        AMNESIAC_ASSERT(cur < _size && slot(cur).refs > 0, "bad unref");
         ProducerNode &n = slot(cur);
+        if (--n.refs != 0)
+            continue;
         if (n.in1 != kNoNode)
             _reclaim.push_back(n.in1);
         if (n.in2 != kNoNode)
@@ -96,6 +98,7 @@ DepTracker::onAlu(std::uint32_t pc, const Instruction &instr,
             stub.in1 = kNoNode;
             stub.in2 = kNoNode;
             stub.depth = 1;
+            stub.refs = 1;
             return sid;
         }
         ref(child);
@@ -117,7 +120,7 @@ DepTracker::onAlu(std::uint32_t pc, const Instruction &instr,
     node.in1 = in1;
     node.in2 = in2;
     node.depth = depth;
-    node.seq = ++_seq;
+    node.seq = nextSeq();
     node.value = result;
     // Assign before releasing: with rd == rs1 the old producer is still
     // referenced through the new node's link and must survive.
@@ -140,7 +143,7 @@ DepTracker::onLoad(std::uint32_t pc, const Instruction &instr,
     node.kind = ProducerNode::Kind::InputLoad;
     node.pc = pc;
     node.op = instr.op;
-    node.seq = ++_seq;
+    node.seq = nextSeq();
     node.value = value;
     setReg(instr.rd, nid);
 }
@@ -154,7 +157,7 @@ DepTracker::onOpaque(Reg rd)
         _opaque = alloc();
         slot(_opaque).kind = ProducerNode::Kind::Truncated;
     }
-    ++_seq;
+    nextSeq();
     ++_opaqueSeqs;
     ref(_opaque);
     setReg(rd, _opaque);

@@ -37,12 +37,17 @@ using NodeId = std::uint32_t;
 /** "No producer" — the untracked origin (initial register state). */
 inline constexpr NodeId kNoNode = 0xFFFFFFFFu;
 
+/** Width of ProducerNode::seq; DepTracker asserts that it fits. */
+inline constexpr unsigned kSeqBits = 40;
+
 /**
- * One dynamic value production. Immutable once created.
+ * One dynamic value production. Immutable once created, except for
+ * its reference count, which DepTracker keeps.
  *
  * 32 bytes: only what varies per dynamic instance is stored. The static
  * operand fields (rd, rs1, rs2, imm) are read from the instruction at
- * `pc` in the profiled program.
+ * `pc` in the profiled program. `seq`, `kind`, `op` and `depth` share
+ * one 64-bit word.
  */
 struct ProducerNode
 {
@@ -63,18 +68,21 @@ struct ProducerNode
     /** The produced value (Live cuts, diagnostics, dry-run seeding). */
     std::uint64_t value = 0;
     /** Global dynamic sequence number (monotonic per production). */
-    std::uint64_t seq = 0;
+    std::uint64_t seq : kSeqBits = 0;
+    Kind kind : 8 = Kind::Alu;
+    Opcode op : 8 = Opcode::Nop;
+    /** Longest producer chain below (and including) this node. Chains
+     * are cut at kMaxChainDepth — far beyond any buildable slice — so
+     * node graphs stay bounded and reclamation never walks deeply. */
+    std::uint16_t depth : 8 = 1;
     std::uint32_t pc = 0;  ///< static site of the production
     /** Producers of the input operands; kNoNode = untracked origin
      * (initial register state). */
     NodeId in1 = kNoNode;
     NodeId in2 = kNoNode;
-    Kind kind = Kind::Alu;
-    Opcode op = Opcode::Nop;
-    /** Longest producer chain below (and including) this node. Chains
-     * are cut at kMaxChainDepth — far beyond any buildable slice — so
-     * node graphs stay bounded and reclamation never walks deeply. */
-    std::uint16_t depth = 1;
+    /** Registers, memory words, parent links and pins holding this
+     * node; 0 once it is on the free list. */
+    std::uint32_t refs = 0;
 
     /** Number of producer links this node carries (0..2). */
     int
@@ -90,6 +98,7 @@ static_assert(sizeof(ProducerNode) == 32, "ProducerNode must stay 32 bytes");
 
 /** Producer-chain depth limit (see ProducerNode::depth). */
 inline constexpr std::uint16_t kMaxChainDepth = 192;
+static_assert(kMaxChainDepth < 256, "ProducerNode::depth has 8 bits");
 
 /** Tighter limit for self-recurrent chains (a node consuming a prior
  * production of its own static site, e.g. loop counters, accumulators,
@@ -184,11 +193,10 @@ class DepTracker
     std::size_t freeCount() const { return _freeCount; }
 
   private:
-    /** One arena page: nodes and their refcounts, index-aligned. */
+    /** One arena page of nodes. */
     struct Page
     {
         std::array<ProducerNode, kPageNodes> nodes;
-        std::array<std::uint32_t, kPageNodes> refs{};
     };
 
     /**
@@ -215,9 +223,12 @@ class DepTracker
     {
         return _pages[id >> kPageBits]->nodes[id & (kPageNodes - 1)];
     }
-    std::uint32_t &refs(NodeId id)
+    /** The next sequence number (asserted to fit ProducerNode::seq). */
+    std::uint64_t nextSeq()
     {
-        return _pages[id >> kPageBits]->refs[id & (kPageNodes - 1)];
+        AMNESIAC_ASSERT(_seq + 1 < (std::uint64_t{1} << kSeqBits),
+                        "sequence number outgrew ProducerNode::seq");
+        return ++_seq;
     }
 
     /** Fresh slot with refcount 1 (free list first, then growth). */
@@ -225,8 +236,8 @@ class DepTracker
 
     void ref(NodeId id)
     {
-        AMNESIAC_ASSERT(id < _size && refs(id) > 0, "bad ref");
-        ++refs(id);
+        AMNESIAC_ASSERT(id < _size && slot(id).refs > 0, "bad ref");
+        ++slot(id).refs;
     }
 
     /** Drop one reference; reclaims the node (and, iteratively, any

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "mem/hierarchy.h"
+#include "util/rng.h"
 
 namespace amnesiac {
 namespace {
@@ -83,6 +84,37 @@ TEST(Hierarchy, ResetRestoresColdState)
     mem.reset();
     EXPECT_EQ(mem.peekLevel(0x0), MemLevel::Memory);
     EXPECT_EQ(mem.readsBy()[0] + mem.readsBy()[1] + mem.readsBy()[2], 0u);
+}
+
+TEST(Hierarchy, ProbesAgreeWithPeekLevelOnRandomStreams)
+{
+    // The FLC and LLC policies decide from peekLevel's residence; that
+    // is only sound while probe(L1) is "resides in L1" and
+    // probe(L1) || probe(L2) is "resides in some cache".
+    for (const HierarchyConfig &config :
+         {tinyHierarchy(), HierarchyConfig{}}) {
+        MemoryHierarchy mem(config);
+        Xorshift64Star rng(config.l2.sizeBytes);
+        std::uint64_t lines = 2 * config.l2.sizeBytes / config.l2.lineBytes;
+        for (int i = 0; i < 100000; ++i) {
+            std::uint64_t addr = rng.nextBelow(lines) * config.l2.lineBytes;
+            std::uint64_t r = rng.nextBelow(100);
+            if (r < 45)
+                mem.read(addr);
+            else if (r < 90)
+                mem.write(addr);
+            else if (r < 95)
+                mem.invalidateLine(addr);
+            std::uint64_t peek = rng.nextBelow(lines) * config.l2.lineBytes;
+            MemLevel level = mem.peekLevel(peek);
+            ASSERT_EQ(mem.probe(MemLevel::L1, peek), level == MemLevel::L1)
+                << "step " << i;
+            ASSERT_EQ(mem.probe(MemLevel::L1, peek) ||
+                          mem.probe(MemLevel::L2, peek),
+                      level != MemLevel::Memory)
+                << "step " << i;
+        }
+    }
 }
 
 TEST(Hierarchy, LevelNames)
